@@ -86,6 +86,14 @@ def _load_eg(path: str) -> eg_mod.EntityGraph:
 # Query text parsing (CLI syntax)
 
 
+def _iri_end(text: str, start: int) -> int:
+    """Index just past the ``>`` closing the IRI that opens at *start*."""
+    end = text.find(">", start)
+    if end < 0:
+        raise _UsageError("query: unterminated IRI")
+    return end + 1
+
+
 def _tokenize_query(text: str) -> list[str]:
     tokens: list[str] = []
     position = 0
@@ -94,9 +102,9 @@ def _tokenize_query(text: str) -> list[str]:
         if char.isspace():
             position += 1
         elif char == "<":
-            end = text.index(">", position)
-            tokens.append(text[position:end + 1])
-            position = end + 1
+            end = _iri_end(text, position)
+            tokens.append(text[position:end])
+            position = end
         elif char == '"':
             cursor = position + 1
             while cursor < len(text) and (text[cursor] != '"' or text[cursor - 1] == "\\"):
@@ -107,7 +115,7 @@ def _tokenize_query(text: str) -> list[str]:
             if text.startswith("^^", end):
                 end += 2
                 if end < len(text) and text[end] == "<":
-                    end = text.index(">", end) + 1
+                    end = _iri_end(text, end)
                 else:
                     while end < len(text) and not text[end].isspace():
                         end += 1
@@ -125,17 +133,28 @@ def _tokenize_query(text: str) -> list[str]:
     return tokens
 
 
-def _resolve_name(eg: eg_mod.EntityGraph, name: str) -> Iri:
-    """Resolve a short name to the unique graph IRI with that last segment."""
+def _resolve_names(eg: eg_mod.EntityGraph, names: set[str]) -> dict[str, list[str]]:
+    """Graph IRIs whose last segment is each short name, from one pass."""
+    found: dict[str, list[str]] = {name: [] for name in names}
+    if found:
+        iris = {
+            term.value
+            for triple in eg.triples
+            for term in (triple.subject, triple.predicate, triple.object)
+            if isinstance(term, Iri)
+        }
+        for value in iris:
+            hits = found.get(value.rsplit("/", 1)[-1])
+            if hits is not None:
+                hits.append(value)
+    return {name: sorted(hits) for name, hits in found.items()}
+
+
+def _name_term(name: str, resolved: dict[str, list[str]]) -> Iri:
+    """The unique graph IRI a short name stands for; full IRIs stand for themselves."""
     if "://" in name:
         return Iri(name)
-    matches = sorted(
-        {
-            term.value
-            for term in eg.terms()
-            if isinstance(term, Iri) and term.value.rsplit("/", 1)[-1] == name
-        }
-    )
+    matches = resolved[name]
     if not matches:
         raise _UsageError(f"query: name {name!r} matches no term in the graph")
     if len(matches) > 1:
@@ -161,6 +180,9 @@ def _parse_literal_token(token: str) -> eg_mod.Literal:
 def parse_query_text(text: str, eg: eg_mod.EntityGraph) -> query_mod.Query:
     """Parse ``?var <name> "literal" .`` pattern text against a graph."""
     tokens = _tokenize_query(text)
+    resolved = _resolve_names(
+        eg, {t[1:-1] for t in tokens if t.startswith("<") and "://" not in t}
+    )
     patterns: list = []
     current: list = []
     for token in tokens:
@@ -172,7 +194,7 @@ def parse_query_text(text: str, eg: eg_mod.EntityGraph) -> query_mod.Query:
         elif token.startswith("?"):
             current.append(query_mod.Variable(token))
         elif token.startswith("<"):
-            current.append(_resolve_name(eg, token[1:-1]))
+            current.append(_name_term(token[1:-1], resolved))
         elif token.startswith('"'):
             current.append(_parse_literal_token(token))
         else:

@@ -206,6 +206,15 @@ _LINK_MAP_KEYS = {"column", "property", "target"}
 def load_mapping_spec(document: str | bytes, schema_graph: SchemaGraph) -> MappingSpec:
     """Load a mapping spec and validate it against the grounded schema."""
     try:
+        return _load_mapping_spec(document, schema_graph)
+    except KeyError as exc:
+        raise FormatError(f"mapping spec: missing key {exc}") from None
+    except TypeError as exc:
+        raise FormatError(f"mapping spec: malformed document ({exc})") from None
+
+
+def _load_mapping_spec(document: str | bytes, schema_graph: SchemaGraph) -> MappingSpec:
+    try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise FormatError(

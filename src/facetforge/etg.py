@@ -157,6 +157,15 @@ _PROVENANCE_KEYS = {"source_id", "timestamp"}
 def load_etg(document: str | bytes) -> EntityTypeGraph:
     """Load an ETG from its JSON file format and resolve all references."""
     try:
+        return _load_etg(document)
+    except KeyError as exc:
+        raise FormatError(f"ETG: missing key {exc}") from None
+    except TypeError as exc:
+        raise FormatError(f"ETG: malformed document ({exc})") from None
+
+
+def _load_etg(document: str | bytes) -> EntityTypeGraph:
+    try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise FormatError(

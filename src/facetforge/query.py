@@ -71,42 +71,73 @@ class BindingTable:
         return bool(self.rows)
 
 
-def _match(
-    pattern: Pattern, triple_terms: tuple[Term, Term, Term], binding: dict[str, Term]
-) -> dict[str, Term] | None:
-    extended = dict(binding)
-    for term, actual in zip(pattern, triple_terms):
-        if isinstance(term, Variable):
-            bound = extended.get(term.name)
-            if bound is None:
-                extended[term.name] = actual
-            elif bound != actual:
-                return None
-        elif term != actual:
-            return None
-    return extended
+def _scan(
+    triples: list[tuple[Term, Term, Term]], pattern: Pattern
+) -> tuple[list[str], list[tuple[Term, ...]]]:
+    """Bindings of one pattern on its own, in time linear in the triples.
+
+    Returns the pattern's distinct variable names and, for each triple that
+    agrees with its constants and its repeated variables, the values of those
+    variables in the same order.
+    """
+    names: list[str] = []
+    slots: list[int] = []  # position of each name's first occurrence
+    matches = triples
+    for position, term in enumerate(pattern):
+        if not isinstance(term, Variable):
+            matches = [t for t in matches if t[position] == term]
+        elif term.name in names:
+            earlier = slots[names.index(term.name)]
+            matches = [t for t in matches if t[position] == t[earlier]]
+        else:
+            names.append(term.name)
+            slots.append(position)
+    return names, [tuple([t[i] for i in slots]) for t in matches]
 
 
 def run_query(eg: EntityGraph, query: Query) -> BindingTable:
     """Evaluate a conjunctive query; rows deduplicated and canonically sorted.
 
+    Each pattern is matched on its own in one pass over the triples, and the
+    matches are hash-joined on the variables they share with the rows so far.
+    Patterns sharing a variable with those rows go before patterns sharing
+    none, the one with the fewest matches first.  Cost is O(patterns x
+    triples + rows); nothing is kept between calls.
+
     A variable-free query yields a zero-column table with one row iff every
     pattern is a triple of the graph.
     """
-    bindings: list[dict[str, Term]] = [{}]
-    triples = [(t.subject, t.predicate, t.object) for t in eg.triples]
-    for pattern in query.patterns:
-        next_bindings: list[dict[str, Term]] = []
-        for binding in bindings:
-            for triple_terms in triples:
-                extended = _match(pattern, triple_terms, binding)
-                if extended is not None:
-                    next_bindings.append(extended)
-        bindings = next_bindings
-        if not bindings:
-            break
-
     columns = tuple(query.variables())
-    unique_rows = {tuple(b[name] for name in columns) for b in bindings}
+    triples = [(t.subject, t.predicate, t.object) for t in eg.triples]
+    pending = []
+    for pattern in query.patterns:
+        names, matches = _scan(triples, pattern)
+        if not matches:
+            return BindingTable(columns, ())
+        pending.append((names, matches))
+
+    bound: list[str] = []  # the variables of each row, in join order
+    rows: list[tuple[Term, ...]] = [()]
+    while pending and rows:
+        joined = [i for i, (names, _) in enumerate(pending)
+                  if any(name in bound for name in names)]
+        nearest = min(joined or range(len(pending)), key=lambda i: len(pending[i][1]))
+        names, matches = pending.pop(nearest)
+        shared = [i for i, name in enumerate(names) if name in bound]
+        fresh = [i for i, name in enumerate(names) if name not in bound]
+        table: dict[tuple[Term, ...], list[tuple[Term, ...]]] = {}
+        for match in matches:
+            key = tuple([match[i] for i in shared])
+            table.setdefault(key, []).append(tuple([match[i] for i in fresh]))
+        probe = [bound.index(names[i]) for i in shared]
+        rows = [
+            row + extension
+            for row in rows
+            for extension in table.get(tuple([row[i] for i in probe]), ())
+        ]
+        bound += [names[i] for i in fresh]
+
+    order = [bound.index(name) for name in columns] if rows else []
+    unique_rows = {tuple([row[i] for i in order]) for row in rows}
     ordered = sorted(unique_rows, key=lambda row: [render_term(t) for t in row])
     return BindingTable(columns, tuple(ordered))

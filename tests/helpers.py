@@ -9,7 +9,8 @@ from datetime import datetime, timezone
 from facetforge.core import Iri, Label, parse_timestamp
 from facetforge.eg import EntityGraph, Literal, Triple
 from facetforge.facet import FacetFormula, FormulaSlot
-from facetforge.query import Query, Variable
+from facetforge.exports import render_term
+from facetforge.query import BindingTable, Pattern, Query, Term, Variable
 from facetforge.schedule import ClassificationSchedule, Concept, FacetCategory
 
 BASE = Iri("https://ex.org/du")
@@ -144,6 +145,67 @@ def random_entity_graph(rng: random.Random, max_triples: int = 50) -> EntityGrap
     )
 
 
+def random_wide_graph(rng: random.Random, size: int) -> EntityGraph:
+    """About *size* distinct triples over ~size/8 nodes and six predicates.
+
+    The predicates are nodes too, so a predicate can also bind a subject or
+    object variable, and self-loops occur for repeated-variable patterns.
+    """
+    nodes = [Iri(f"https://ex.org/w/n{i}") for i in range(max(8, size // 8))]
+    predicates = rng.sample(nodes, 6)
+    objects = nodes + [Literal(str(n), "integer") for n in range(5)]
+    triples = set()
+    while len(triples) < size:
+        triples.add(Triple(rng.choice(nodes), rng.choice(predicates), rng.choice(objects)))
+    ordered = tuple(sorted(triples, key=Triple.sort_key))
+    return EntityGraph(
+        iri=Iri("https://ex.org/w/eg/fixed"),
+        timestamp=datetime(2024, 1, 1, tzinfo=timezone.utc),
+        sources=(),
+        entities=(),
+        triples=ordered,
+        counts=(0, len(ordered)),
+    )
+
+
+def random_anchored_query(rng: random.Random, eg: EntityGraph, max_patterns: int = 3) -> Query:
+    """Patterns read off a random walk over the graph's triples.
+
+    Each position of a walked triple becomes a variable, the triple's own
+    term, or now and then a term the graph does not hold; one query in eight
+    has no variables.  A term keeps the
+    variable it first got, so consecutive patterns join where the walk
+    passed through a shared term; a walk step to a random triple makes a
+    pattern that may share no variable.
+    """
+    variables = [Variable(name) for name in ("?a", "?b", "?c", "?d")]
+    novel = Iri("https://ex.org/w/unknown")
+    touching: dict = {}
+    for triple in eg.triples:
+        for term in (triple.subject, triple.predicate, triple.object):
+            touching.setdefault(term, []).append(triple)
+
+    named: dict = {}
+    share = 0.0 if rng.random() < 0.125 else 0.5  # of positions made variables
+    anchor = rng.choice(eg.triples)
+    patterns = []
+    for _ in range(rng.randint(1, max_patterns)):
+        terms = (anchor.subject, anchor.predicate, anchor.object)
+        pattern = []
+        for actual in terms:
+            roll = rng.random()
+            if roll < share:
+                pattern.append(named.setdefault(actual, rng.choice(variables)))
+            else:
+                pattern.append(novel if roll < share + 0.03 else actual)
+        patterns.append(tuple(pattern))
+        if rng.random() < 0.75:
+            anchor = rng.choice(touching[rng.choice(terms)])
+        else:
+            anchor = rng.choice(eg.triples)
+    return Query(tuple(patterns))
+
+
 def random_query(rng: random.Random, eg: EntityGraph, max_patterns: int = 3) -> Query:
     variables = [Variable("?a"), Variable("?b"), Variable("?c")]
     terms = eg.terms() or [Iri("https://ex.org/t/none")]
@@ -187,3 +249,42 @@ def brute_force_query(eg: EntityGraph, query: Query) -> tuple[tuple[str, ...], s
         ):
             rows.add(assignment)
     return columns, rows
+
+
+
+def _match(
+    pattern: Pattern, triple_terms: tuple[Term, Term, Term], binding: dict[str, Term]
+) -> dict[str, Term] | None:
+    extended = dict(binding)
+    for term, actual in zip(pattern, triple_terms):
+        if isinstance(term, Variable):
+            bound = extended.get(term.name)
+            if bound is None:
+                extended[term.name] = actual
+            elif bound != actual:
+                return None
+        elif term != actual:
+            return None
+    return extended
+
+
+def nested_loop_query(eg: EntityGraph, query: Query) -> BindingTable:
+    """The engine's first evaluator, kept as an oracle: for each pattern in
+    query order, every partial binding is matched against every triple."""
+    bindings: list[dict[str, Term]] = [{}]
+    triples = [(t.subject, t.predicate, t.object) for t in eg.triples]
+    for pattern in query.patterns:
+        next_bindings: list[dict[str, Term]] = []
+        for binding in bindings:
+            for triple_terms in triples:
+                extended = _match(pattern, triple_terms, binding)
+                if extended is not None:
+                    next_bindings.append(extended)
+        bindings = next_bindings
+        if not bindings:
+            break
+
+    columns = tuple(query.variables())
+    unique_rows = {tuple(b[name] for name in columns) for b in bindings}
+    ordered = sorted(unique_rows, key=lambda row: [render_term(t) for t in row])
+    return BindingTable(columns, tuple(ordered))

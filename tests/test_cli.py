@@ -202,3 +202,75 @@ class TestEg:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 2
+
+
+class TestEgQueryErrors:
+    def test_unterminated_iri_is_usage_error(self, eg_file, capsys):
+        for text in (
+            "?x <author ?y .",
+            '?b <title> "x"^^<http://www.w3.org/2001/XMLSchema#string .',
+        ):
+            assert main(["eg", "query", str(eg_file), text]) == 2
+            assert capsys.readouterr().err == "error: query: unterminated IRI\n"
+
+    def test_unknown_name_is_usage_error(self, eg_file, capsys):
+        status = main(["eg", "query", str(eg_file), "?b <author> <nobody> ."])
+        assert status == 2
+        assert capsys.readouterr().err == (
+            "error: query: name 'nobody' matches no term in the graph\n"
+        )
+
+    def test_ambiguous_name_is_usage_error(self, eg_file, tmp_path, capsys):
+        document = json.loads(eg_file.read_text())
+        document["entities"].append(
+            {"iri": "https://ex.org/du/Organization/schumacher", "type": "Organization",
+             "values": []}
+        )
+        ambiguous = tmp_path / "ambiguous.json"
+        ambiguous.write_text(json.dumps(document))
+        status = main(["eg", "query", str(ambiguous), "?b <author> <schumacher> ."])
+        assert status == 2
+        assert capsys.readouterr().err == (
+            "error: query: name 'schumacher' is ambiguous:"
+            " ['https://ex.org/du/Organization/schumacher',"
+            " 'https://ex.org/du/Person/schumacher']\n"
+        )
+
+    def test_first_bad_name_in_text_order_is_reported(self, eg_file, capsys):
+        status = main(["eg", "query", str(eg_file), "?b <nobody> ?o . ?o <nothing> ?p ."])
+        assert status == 2
+        assert "'nobody'" in capsys.readouterr().err
+
+    def test_full_iri_needs_no_resolution(self, eg_file, capsys):
+        status = main(["eg", "query", str(eg_file),
+                       "?b <https://ex.org/du/prop/author> <schumacher> ."])
+        assert status == 0
+        assert capsys.readouterr().out == "?b\n<https://ex.org/du/Publication/b1>\n"
+
+
+class TestMalformedDocuments:
+    def write(self, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_etg_type_without_label(self, tmp_path, capsys):
+        data = json.loads(fixture_text("du.etg.json"))
+        del data["types"][0]["label"]
+        assert main(["etg", "lint", self.write(tmp_path, "etg.json", data)]) == 2
+        assert capsys.readouterr().err == "error: ETG: missing key 'label'\n"
+
+    def test_etg_types_not_a_list(self, tmp_path, capsys):
+        data = json.loads(fixture_text("du.etg.json"))
+        data["types"] = 5
+        assert main(["etg", "lint", self.write(tmp_path, "etg.json", data)]) == 2
+        assert capsys.readouterr().err.startswith("error: ETG: malformed document")
+
+    def test_mapping_dataset_without_id(self, tmp_path, ontology_file, capsys):
+        data = json.loads(fixture_text("du.mapping.json"))
+        del data["datasets"][0]["id"]
+        args = list(EG_BUILD_ARGS)
+        args[1] = str(ontology_file)
+        args[args.index("--spec") + 1] = self.write(tmp_path, "spec.json", data)
+        assert main(["eg", "build", *args]) == 2
+        assert capsys.readouterr().err == "error: mapping spec: missing key 'id'\n"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,15 @@ from facetforge.core import Iri
 from facetforge.eg import Literal
 from facetforge.exports import render_term
 from facetforge.query import BindingTable, Query, Variable, run_query
-from helpers import BASE, brute_force_query, random_entity_graph, random_query
+from helpers import (
+    BASE,
+    brute_force_query,
+    nested_loop_query,
+    random_anchored_query,
+    random_entity_graph,
+    random_query,
+    random_wide_graph,
+)
 
 
 def iri(*segments):
@@ -101,3 +110,71 @@ class TestOracleEquivalence:
             table = run_query(graph, query)
             assert table.columns == columns
             assert set(table.rows) == expected
+
+
+class TestNestedLoopOracle:
+    """run_query against the nested-loop evaluator it replaced, on graphs of
+    a few hundred to a thousand triples, where the brute-force oracle's
+    enumeration of assignments is out of reach."""
+
+    BUDGET = 100_000  # triple matches the nested loop may spend on one query
+    FEATURES = ("variable predicate", "repeated variable", "no shared variable",
+                "variable-free", "unknown constant")
+
+    def oracle(self, graph, query):
+        """The nested loop's table, or None when it would exceed BUDGET.
+
+        Query prefixes are evaluated in turn: the bindings after one prefix
+        fix what the next pattern costs (one match per triple per binding).
+        """
+        table = None
+        cost = 0
+        for end in range(1, len(query.patterns) + 1):
+            cost += len(graph.triples) * (1 if table is None else len(table.rows))
+            if cost > self.BUDGET:
+                return None
+            table = nested_loop_query(graph, Query(query.patterns[:end]))
+            if not table.rows:
+                return BindingTable(tuple(query.variables()), ())
+        return table
+
+    @staticmethod
+    def features(graph, query) -> set[str]:
+        terms = set(graph.terms())
+        names = [{t.name for t in p if isinstance(t, Variable)} for p in query.patterns]
+        found = set()
+        if any(isinstance(p[1], Variable) for p in query.patterns):
+            found.add("variable predicate")
+        if any(len(n) < sum(isinstance(t, Variable) for t in p)
+               for n, p in zip(names, query.patterns)):
+            found.add("repeated variable")
+        if len(names) > 1 and any(
+            n and all(not n & m for j, m in enumerate(names) if j != i)
+            for i, n in enumerate(names)
+        ):
+            found.add("no shared variable")
+        if not query.variables():
+            found.add("variable-free")
+        if any(not isinstance(t, Variable) and t not in terms
+               for p in query.patterns for t in p):
+            found.add("unknown constant")
+        return found
+
+    def test_matches_nested_loop_on_wide_graphs(self):
+        rng = random.Random(90210)
+        seen, matched = Counter(), Counter()
+        cases = 0
+        while cases < 200:
+            graph = random_wide_graph(rng, rng.randint(200, 1000))
+            query = random_anchored_query(rng, graph)
+            expected = self.oracle(graph, query)
+            if expected is None:
+                continue
+            assert run_query(graph, query) == expected
+            cases += 1
+            found = self.features(graph, query)
+            seen.update(found)
+            if expected.rows:
+                matched.update(found)
+        assert all(seen[name] >= 10 for name in self.FEATURES), seen
+        assert all(matched[name] >= 3 for name in self.FEATURES[:-1]), matched
