@@ -10,7 +10,6 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
-from urllib.parse import quote
 
 __all__ = [
     "ERROR",
@@ -89,19 +88,20 @@ class Iri:
 
 
 def mint_iri(base: Iri, segments: Sequence[str | Identifier]) -> Iri:
-    """Append percent-encoded identifier segments to *base*.
+    """Append identifier segments to *base*, separated by ``/``.
 
     Deterministic: the same inputs always produce the same IRI.  Each segment
-    must be a valid identifier, which keeps the result injective over distinct
-    segment lists (``/`` and ``%`` can never appear unescaped).
+    must be a valid identifier (``[A-Za-z0-9._-]+``), which needs no escaping
+    and keeps the result injective over distinct segment lists (no segment
+    can contain ``/``).
     """
     if not segments:
         raise ValueError("mint_iri requires at least one segment")
-    encoded = []
-    for segment in segments:
-        ident = segment if isinstance(segment, Identifier) else validate_identifier(segment)
-        encoded.append(quote(ident.value, safe=""))
-    return Iri(base.value.rstrip("/") + "/" + "/".join(encoded))
+    values = [
+        segment.value if isinstance(segment, Identifier) else validate_identifier(segment).value
+        for segment in segments
+    ]
+    return Iri(base.value.rstrip("/") + "/" + "/".join(values))
 
 
 @dataclass(frozen=True)
@@ -177,6 +177,7 @@ RULES: dict[str, tuple[str, str]] = {
     "GR1": (WARNING, "ontology node grounded by inheriting an ancestor's type"),
     "IG1": (WARNING, "cell value failed its datatype cast and was dropped"),
     "IG2": (ERROR, "duplicate row identifier in a dataset"),
+    "IG3": (ERROR, "row identifier already used by another dataset of the same entity type"),
     "LK1": (ERROR, "link target missing and the dangling policy is error"),
     "LK2": (WARNING, "link target missing; link dropped"),
     "LK3": (WARNING, "link target missing; stub entity created"),

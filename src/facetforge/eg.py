@@ -89,36 +89,35 @@ class Triple:
         return (self.subject.value, self.predicate.value, object_key)
 
 
-def value_sort_key(item: tuple[str, "Literal | Iri"]) -> tuple[str, str, str]:
-    """Canonical ordering key for an entity's (property, value) pairs."""
-    prop, value = item
-    if isinstance(value, Iri):
-        return (prop, "iri", value.value)
-    return (prop, value.datatype, value.text)
-
-
 @dataclass(frozen=True)
 class Entity:
     iri: Iri
     type: str
-    values: tuple[tuple[str, Literal | Iri], ...] = ()
 
 
 @dataclass(frozen=True)
 class EntityGraph:
+    """An entity graph, stored once as canonically ordered triples.
+
+    Each entity is the subject of exactly one ``<base>/prop/type`` triple;
+    its values and links are the other triples with that subject.
+    """
+
     iri: Iri
     timestamp: datetime
     sources: tuple[str, ...]
-    entities: tuple[Entity, ...]
     triples: tuple[Triple, ...]
-    counts: tuple[int, int]
 
-    def __post_init__(self) -> None:
-        if self.counts != (len(self.entities), len(self.triples)):
-            raise ValueError(
-                f"counts {self.counts} do not match contents"
-                f" ({len(self.entities)} entities, {len(self.triples)} triples)"
-            )
+    @property
+    def entities(self) -> tuple[Entity, ...]:
+        """The typed subjects, in IRI order, derived from the triples on each access."""
+        predicate = type_predicate(derive_base(self.iri)).value
+        types = {
+            t.subject.value: Entity(t.subject, t.object.value.rsplit("/", 1)[1])
+            for t in self.triples
+            if t.predicate.value == predicate
+        }
+        return tuple(types[key] for key in sorted(types))
 
     def terms(self) -> list[Iri | Literal]:
         """All distinct terms appearing in the graph, deterministic order."""
@@ -429,7 +428,9 @@ def build_entity_graph(
 
     Dangling links follow the owning dataset's policy: ``error`` aborts the
     build, ``skip`` drops the triple with a warning, ``stub`` creates a typed
-    entity with no values and warns.
+    entity with no values and warns.  Rows of two datasets of one entity type
+    that share an identifier mint the same IRI: the row of the dataset listed
+    first in *spec* is kept and each later one is dropped with an IG3 error.
     """
     spec_ids = [entry.id for entry in spec.datasets]
     if set(datasets) != set(spec_ids):
@@ -446,25 +447,32 @@ def build_entity_graph(
 
     ids_by_dataset = {ds: {row.id for row in rows} for ds, rows in ingested.items()}
     type_by_dataset = {entry.id: entry.entity_type for entry in spec.datasets}
-
-    entities: dict[str, Entity] = {}
-    triples: list[Triple] = []
     predicate_type = type_predicate(base)
+    type_terms = {name: type_iri(base, name) for name in set(type_by_dataset.values())}
+    predicates = {
+        name: property_predicate(base, name)
+        for name in {
+            m.property for entry in spec.datasets for m in (*entry.data_maps, *entry.link_maps)
+        }
+    }
 
-    for entry in spec.datasets:
-        for row in ingested[entry.id]:
-            iri = mint_iri(base, [entry.entity_type, row.id])
-            entities[iri.value] = Entity(
-                iri, entry.entity_type, tuple(sorted(row.values, key=value_sort_key))
-            )
-
+    owners: dict[str, str] = {}  # entity IRI -> dataset whose row minted it
+    stubs: dict[str, tuple[Iri, str]] = {}
+    triples: list[Triple] = []
     for entry in spec.datasets:
         for row in ingested[entry.id]:
             subject = mint_iri(base, [entry.entity_type, row.id])
+            owner = owners.setdefault(subject.value, entry.id)
+            if owner != entry.id:
+                message = f"row identifier {row.id!r} already used by dataset {owner!r}"
+                findings.append(finding("IG3", f"{entry.id}/{row.id}", message + "; row dropped"))
+                continue
+            triples.append(Triple(subject, predicate_type, type_terms[entry.entity_type]))
             for prop, value in row.values:
-                triples.append(Triple(subject, property_predicate(base, prop), value))
+                triples.append(Triple(subject, predicates[prop], value))
             for prop, target_dataset, target_id in row.links:
                 target_type = type_by_dataset[target_dataset]
+                target = mint_iri(base, [target_type, target_id])
                 if target_id not in ids_by_dataset[target_dataset]:
                     path = f"{entry.id}/{row.id}/{prop}"
                     message = (
@@ -478,26 +486,20 @@ def build_entity_graph(
                         findings.append(finding("LK2", path, message + "; link dropped"))
                         continue
                     findings.append(finding("LK3", path, message + "; stub created"))
-                    stub_iri = mint_iri(base, [target_type, target_id])
-                    entities.setdefault(stub_iri.value, Entity(stub_iri, target_type))
+                    stubs[target.value] = (target, target_type)
                     ids_by_dataset[target_dataset].add(target_id)
-                target = mint_iri(base, [target_type, target_id])
-                triples.append(Triple(subject, property_predicate(base, prop), target))
+                triples.append(Triple(subject, predicates[prop], target))
 
-    for entity in entities.values():
-        triples.append(Triple(entity.iri, predicate_type, type_iri(base, entity.type)))
+    # A row of another dataset of the stub's type may have minted its IRI.
+    for key, (stub, stub_type) in stubs.items():
+        if key not in owners:
+            triples.append(Triple(stub, predicate_type, type_terms[stub_type]))
 
-    ordered_entities = tuple(
-        sorted(entities.values(), key=lambda e: e.iri.value)
-    )
-    ordered_triples = tuple(sorted(triples, key=Triple.sort_key))
     graph = EntityGraph(
         iri=mint_iri(base, ["eg", timestamp_identifier(at)]),
         timestamp=at,
         sources=tuple(spec_ids),
-        entities=ordered_entities,
-        triples=ordered_triples,
-        counts=(len(ordered_entities), len(ordered_triples)),
+        triples=tuple(sorted(triples, key=Triple.sort_key)),
     )
     return graph, sort_findings(findings)
 

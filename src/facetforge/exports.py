@@ -13,7 +13,6 @@ import json
 
 from .core import FormatError, Iri, parse_timestamp, format_timestamp
 from .eg import (
-    Entity,
     EntityGraph,
     Literal,
     Triple,
@@ -137,104 +136,128 @@ def parse_ntriples(data: bytes | str) -> tuple[Triple, ...]:
 def export_jsongraph(eg: EntityGraph) -> bytes:
     """Self-contained JSON rendering: metadata, typed entities, links.
 
-    Property names are stored bare; their predicate IRIs follow the fixed
-    ``<base>/prop/<name>`` convention and are recovered by the loader.
+    Each entity carries its literal values; every IRI-valued fact other than
+    a type is a link.  Property names are stored bare; their predicate IRIs
+    follow the fixed ``<base>/prop/<name>`` convention and are recovered by
+    the loader.
     """
-    entities_payload = []
-    for entity in sorted(eg.entities, key=lambda e: e.iri.value):
-        values = sorted(
-            (
-                {
-                    "property": prop,
-                    "datatype": value.datatype if isinstance(value, Literal) else "iri",
-                    "value": value.text if isinstance(value, Literal) else value.value,
-                }
-                for prop, value in entity.values
-            ),
-            key=lambda v: (v["property"], v["datatype"], v["value"]),
-        )
-        entities_payload.append(
-            {"iri": entity.iri.value, "type": entity.type, "values": values}
-        )
-
-    base = derive_base(eg.iri)
-    predicate_type = type_predicate(base).value
-    links_payload = sorted(
-        (
-            {
-                "subject": t.subject.value,
-                "property": t.predicate.value.rsplit("/", 1)[1],
-                "object": t.object.value,
+    predicate_type = type_predicate(derive_base(eg.iri)).value
+    entities: dict[str, dict] = {}
+    values: dict[str, list[dict]] = {}
+    links = []
+    for t in eg.triples:
+        subject = t.subject.value
+        if t.predicate.value == predicate_type:
+            entities[subject] = {
+                "iri": subject,
+                "type": t.object.value.rsplit("/", 1)[1],
+                "values": values.setdefault(subject, []),
             }
-            for t in eg.triples
-            if isinstance(t.object, Iri) and t.predicate.value != predicate_type
-        ),
-        key=lambda l: (l["subject"], l["property"], l["object"]),
-    )
+            continue
+        prop = t.predicate.value.rsplit("/", 1)[1]
+        if isinstance(t.object, Literal):
+            values.setdefault(subject, []).append(
+                {"property": prop, "datatype": t.object.datatype, "value": t.object.text}
+            )
+        else:
+            links.append({"subject": subject, "property": prop, "object": t.object.value})
 
+    for entity in entities.values():
+        entity["values"].sort(key=lambda v: (v["property"], v["datatype"], v["value"]))
+    links.sort(key=lambda l: (l["subject"], l["property"], l["object"]))
     payload = {
         "metadata": {
             "iri": eg.iri.value,
             "timestamp": format_timestamp(eg.timestamp),
             "sources": list(eg.sources),
-            "counts": {"entities": eg.counts[0], "triples": eg.counts[1]},
+            "counts": {"entities": len(entities), "triples": len(eg.triples)},
         },
-        "entities": entities_payload,
-        "links": links_payload,
+        "entities": [entities[key] for key in sorted(entities)],
+        "links": links,
     }
     return json.dumps(payload, ensure_ascii=True, separators=(",", ":")).encode() + b"\n"
 
 
+def _text(raw: dict, key: str, where: str) -> str:
+    value = raw[key]
+    if not isinstance(value, str):
+        raise FormatError(f"entity graph: {where}: {key!r} must be a string")
+    return value
+
+
 def load_entity_graph_json(data: bytes | str) -> EntityGraph:
-    """Rebuild an entity graph from :func:`export_jsongraph` output."""
+    """Rebuild an entity graph from :func:`export_jsongraph` output.
+
+    Raises :class:`FormatError` on a malformed document, including a missing
+    key, a term or ``sources`` item that is not a string, an IRI under an
+    entity's ``values`` (it belongs under ``links``) and an entity listed
+    twice.
+    """
     try:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
         raise FormatError(f"entity graph: parse error: {exc.msg}") from None
     try:
-        metadata = payload["metadata"]
-        eg_iri = Iri(metadata["iri"])
-        timestamp = parse_timestamp(metadata["timestamp"])
-        sources = tuple(metadata["sources"])
-        base = derive_base(eg_iri)
-
-        entities = []
-        triples: list[Triple] = []
-        for raw in payload["entities"]:
-            values: list[tuple[str, Literal | Iri]] = []
-            for value_raw in raw["values"]:
-                if value_raw["datatype"] == "iri":
-                    value: Literal | Iri = Iri(value_raw["value"])
-                else:
-                    value = Literal(value_raw["value"], value_raw["datatype"])
-                values.append((value_raw["property"], value))
-            entity = Entity(Iri(raw["iri"]), raw["type"], tuple(values))
-            entities.append(entity)
-            triples.append(
-                Triple(entity.iri, type_predicate(base), type_iri(base, entity.type))
-            )
-            for prop, value in entity.values:
-                triples.append(Triple(entity.iri, property_predicate(base, prop), value))
-        for raw in payload["links"]:
-            triples.append(
-                Triple(
-                    Iri(raw["subject"]),
-                    property_predicate(base, raw["property"]),
-                    Iri(raw["object"]),
-                )
-            )
-    except (KeyError, TypeError) as exc:
+        return _load_entity_graph(payload)
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"entity graph: malformed document ({exc})") from None
 
-    ordered_entities = tuple(sorted(entities, key=lambda e: e.iri.value))
-    ordered_triples = tuple(sorted(triples, key=Triple.sort_key))
+
+def _load_entity_graph(payload) -> EntityGraph:
+    metadata = payload["metadata"]
+    eg_iri = Iri(_text(metadata, "iri", "metadata"))
+    timestamp = parse_timestamp(_text(metadata, "timestamp", "metadata"))
+    sources = metadata["sources"]
+    if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
+        raise FormatError("entity graph: metadata: 'sources' must be a list of strings")
+    base = derive_base(eg_iri)
+    predicate_type = type_predicate(base)
+
+    predicates: dict[str, Iri] = {}
+    type_terms: dict[str, Iri] = {}
+
+    def predicate(raw: dict, where: str) -> Iri:
+        name = _text(raw, "property", where)
+        if name not in predicates:
+            predicates[name] = property_predicate(base, name)
+        return predicates[name]
+
+    triples: list[Triple] = []
+    seen: set[str] = set()
+    for raw in payload["entities"]:
+        subject = Iri(_text(raw, "iri", "entity"))
+        where = f"entity {subject.value}"
+        if subject.value in seen:
+            raise FormatError(f"entity graph: {where} is listed more than once")
+        seen.add(subject.value)
+        type_name = _text(raw, "type", where)
+        if type_name not in type_terms:
+            type_terms[type_name] = type_iri(base, type_name)
+        triples.append(Triple(subject, predicate_type, type_terms[type_name]))
+        for value_raw in raw["values"]:
+            datatype = _text(value_raw, "datatype", where)
+            if datatype == "iri":
+                raise FormatError(
+                    f"entity graph: {where}: IRI values belong under 'links', not 'values'"
+                )
+            literal = Literal(_text(value_raw, "value", where), datatype)
+            triples.append(Triple(subject, predicate(value_raw, where), literal))
+    for raw in payload["links"]:
+        subject = Iri(_text(raw, "subject", "link"))
+        where = f"link from {subject.value}"
+        object_iri = Iri(_text(raw, "object", where))
+        link_predicate = predicate(raw, where)
+        if link_predicate == predicate_type:
+            raise FormatError(f"entity graph: {where}: types belong to entities, not links")
+        triples.append(Triple(subject, link_predicate, object_iri))
+
     return EntityGraph(
         iri=eg_iri,
         timestamp=timestamp,
-        sources=sources,
-        entities=ordered_entities,
-        triples=ordered_triples,
-        counts=(len(ordered_entities), len(ordered_triples)),
+        sources=tuple(sources),
+        triples=tuple(sorted(triples, key=Triple.sort_key)),
     )
 
 
@@ -250,26 +273,21 @@ def export_fca(eg: EntityGraph) -> bytes:
     sorted.  A cell is ``1`` iff the entity has at least one value for the
     property (or is of the type).
     """
-    property_names = {
-        t.predicate.value.rsplit("/", 1)[1]
-        for t in eg.triples
-        if t.predicate.value.rsplit("/", 1)[1] != "type"
-    }
-    type_columns = {f"type:{e.type}" for e in eg.entities}
-    columns = sorted(property_names | type_columns)
-
-    incidence: dict[str, set[str]] = {e.iri.value: set() for e in eg.entities}
+    predicate_type = type_predicate(derive_base(eg.iri)).value
+    types: dict[str, str] = {}
+    incidence: dict[str, set[str]] = {}
     for triple in eg.triples:
-        name = triple.predicate.value.rsplit("/", 1)[1]
-        if name != "type" and triple.subject.value in incidence:
-            incidence[triple.subject.value].add(name)
-    for entity in eg.entities:
-        incidence[entity.iri.value].add(f"type:{entity.type}")
+        subject = triple.subject.value
+        if triple.predicate.value == predicate_type:
+            types[subject] = "type:" + triple.object.value.rsplit("/", 1)[1]
+        else:
+            incidence.setdefault(subject, set()).add(triple.predicate.value.rsplit("/", 1)[1])
+    columns = sorted(set().union(*incidence.values(), types.values()))
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(["entity", *columns])
-    for iri_value in sorted(incidence):
-        row = ["1" if column in incidence[iri_value] else "0" for column in columns]
-        writer.writerow([iri_value, *row])
+    for iri_value in sorted(types):
+        attributes = incidence.get(iri_value, set()) | {types[iri_value]}
+        writer.writerow([iri_value, *("1" if column in attributes else "0" for column in columns)])
     return buffer.getvalue().encode()

@@ -139,9 +139,7 @@ def random_entity_graph(rng: random.Random, max_triples: int = 50) -> EntityGrap
         iri=Iri("https://ex.org/t/eg/fixed"),
         timestamp=datetime(2024, 1, 1, tzinfo=timezone.utc),
         sources=(),
-        entities=(),
         triples=ordered,
-        counts=(0, len(ordered)),
     )
 
 
@@ -162,9 +160,7 @@ def random_wide_graph(rng: random.Random, size: int) -> EntityGraph:
         iri=Iri("https://ex.org/w/eg/fixed"),
         timestamp=datetime(2024, 1, 1, tzinfo=timezone.utc),
         sources=(),
-        entities=(),
         triples=ordered,
-        counts=(0, len(ordered)),
     )
 
 

@@ -8,11 +8,13 @@ from facetforge.core import FormatError, Iri
 from facetforge.eg import (
     DanglingLinkError,
     Literal,
+    Triple,
     build_entity_graph,
     ingest_dataset,
     load_mapping_spec,
     read_table,
 )
+from facetforge.exports import export_jsongraph, load_entity_graph_json
 from facetforge.fixtures import fixture_text
 from helpers import AT, BASE
 
@@ -115,7 +117,8 @@ class TestBuild:
         row_count = sum(len(table) for table in tables.values())
         typed_cells = 7  # title, date, pages + four name columns
         resolved_links = 4
-        assert figure_eg.counts == (row_count, row_count + typed_cells + resolved_links)
+        assert len(figure_eg.entities) == row_count
+        assert len(figure_eg.triples) == row_count + typed_cells + resolved_links
 
     def test_referential_closure(self, figure_eg):
         entity_iris = {e.iri for e in figure_eg.entities}
@@ -143,7 +146,8 @@ class TestBuild:
         empty = {d.id: [] for d in mapping_spec.datasets}
         graph, findings = build_entity_graph(schema_graph, mapping_spec, empty, BASE, AT)
         assert findings == []
-        assert graph.counts == (0, 0)
+        assert graph.entities == ()
+        assert graph.triples == ()
         assert graph.iri.value == "https://ex.org/du/eg/2024-01-01T00-00-00Z"
         assert graph.sources == ("books", "people", "orgs", "places")
 
@@ -171,10 +175,48 @@ class TestBuild:
             stubbed = {e.iri for e in graph.entities}
             if policy == "stub":
                 assert stub_iri in stubbed
-                stub = next(e for e in graph.entities if e.iri == stub_iri)
-                assert stub.values == ()
+                stub_triples = [t for t in graph.triples if t.subject == stub_iri]
+                type_triple = Triple(
+                    stub_iri, Iri(BASE.value + "/prop/type"), Iri(BASE.value + "/type/Person")
+                )
+                assert stub_triples == [type_triple]
             else:
                 assert stub_iri not in stubbed
+
+    def test_cross_dataset_id_collision_is_an_error_finding(
+        self, schema_graph, tables, figure_eg
+    ):
+        data = mapping_document()
+        data["datasets"].append(dict(data["datasets"][1], id="people2"))
+        spec = load_mapping_spec(json.dumps(data), schema_graph)
+        extra = dict(tables, people2=[{"id": "schumacher", "name": "Fritz Schumacher"}])
+        graph, findings = build_entity_graph(schema_graph, spec, extra, BASE, AT)
+        assert [(f.code, f.severity, f.path) for f in findings] == [
+            ("IG3", "error", "people2/schumacher")
+        ]
+        assert graph.triples == figure_eg.triples
+        assert load_entity_graph_json(export_jsongraph(graph)) == graph
+
+    def test_stub_of_an_iri_another_dataset_mints_adds_no_type(self, schema_graph, tables):
+        data = mapping_document()
+        data["datasets"].append(dict(data["datasets"][1], id="people2"))
+        for entry in data["datasets"]:
+            entry["dangling_policy"] = "stub"
+        spec = load_mapping_spec(json.dumps(data), schema_graph)
+        broken = dict(
+            tables,
+            orgs=[dict(tables["orgs"][0], founder="nobody")],
+            people2=[{"id": "nobody", "name": "No Body"}],
+        )
+        graph, findings = build_entity_graph(schema_graph, spec, broken, BASE, AT)
+        assert [f.code for f in findings] == ["LK3"]
+        nobody = Iri(BASE.value + "/Person/nobody")
+        type_predicate = Iri(BASE.value + "/prop/type")
+        assert [t.object for t in graph.triples if t.subject == nobody] == [
+            Literal("No Body", "string"),
+            Iri(BASE.value + "/type/Person"),
+        ]
+        assert sum(t.predicate == type_predicate for t in graph.triples) == len(graph.entities)
 
     def test_build_is_deterministic(self, schema_graph, mapping_spec, tables, figure_eg):
         again, findings = build_entity_graph(schema_graph, mapping_spec, tables, BASE, AT)

@@ -3,9 +3,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from datetime import datetime, timezone
 
-from facetforge.core import Iri
+import pytest
+
+from facetforge import build_entity_graph, ground, load_etg, load_mapping_spec
+from facetforge.core import FormatError, Iri
 from facetforge.eg import EntityGraph
 from facetforge.exports import (
     export_fca,
@@ -15,6 +19,8 @@ from facetforge.exports import (
     parse_ntriples,
     render_ntriples,
 )
+from facetforge.fixtures import fixture_text
+from helpers import AT, BASE
 
 
 def empty_eg():
@@ -22,9 +28,7 @@ def empty_eg():
         iri=Iri("https://ex.org/du/eg/2024-01-01T00-00-00Z"),
         timestamp=datetime(2024, 1, 1, tzinfo=timezone.utc),
         sources=(),
-        entities=(),
         triples=(),
-        counts=(0, 0),
     )
 
 
@@ -35,7 +39,7 @@ class TestNtriples:
     def test_line_count_and_sortedness(self, figure_eg):
         data = export_ntriples(figure_eg)
         lines = data.decode().splitlines()
-        assert len(lines) == figure_eg.counts[1]
+        assert len(lines) == len(figure_eg.triples)
         assert lines == sorted(lines)
         assert data.endswith(b".\n") or data.endswith(b" .\n")
         assert any("/prop/foundedBy>" in line and "james-harper" in line for line in lines)
@@ -83,6 +87,80 @@ class TestJsonGraph:
         loaded = load_entity_graph_json(data)
         assert loaded == figure_eg
         assert export_jsongraph(loaded) == data
+
+    def test_iri_typed_values_round_trip_as_links(self, du_ontology, tables):
+        etg_document = json.loads(fixture_text("du.etg.json"))
+        etg_document["data_properties"].append(
+            {"name": "homepage", "domain": "Entity", "datatype": "iri"}
+        )
+        schema_graph, _ = ground(
+            du_ontology, load_etg(json.dumps(etg_document)), {"en-book-1": "Publication"}
+        )
+        spec_document = json.loads(fixture_text("du.mapping.json"))
+        spec_document["datasets"][1]["data_maps"].append(
+            {"column": "homepage", "property": "homepage", "datatype": "iri"}
+        )
+        spec = load_mapping_spec(json.dumps(spec_document), schema_graph)
+        people = [
+            dict(row, homepage=f"https://ex.org/home/{row['id']}") for row in tables["people"]
+        ]
+        graph, findings = build_entity_graph(
+            schema_graph, spec, dict(tables, people=people), BASE, AT
+        )
+        assert findings == []
+        assert len(graph.triples) == 18
+        data = export_jsongraph(graph)
+        payload = json.loads(data)
+        assert all(v["datatype"] != "iri" for e in payload["entities"] for v in e["values"])
+        assert sum(link["property"] == "homepage" for link in payload["links"]) == 2
+        loaded = load_entity_graph_json(data)
+        assert loaded == graph
+        assert export_jsongraph(loaded) == data
+
+
+def _first_value(payload):
+    return payload["entities"][0]["values"][0]
+
+
+MALFORMED = {
+    "non-string value": (lambda p: _first_value(p).update(value=5), "'value' must be a string"),
+    "non-string entity iri": (lambda p: p["entities"][0].update(iri=5), "'iri' must be a string"),
+    "non-string type": (
+        lambda p: p["entities"][0].update(type=["Person"]), "'type' must be a string"
+    ),
+    "non-string property": (
+        lambda p: _first_value(p).update(property=None), "'property' must be a string"
+    ),
+    "non-string datatype": (
+        lambda p: _first_value(p).update(datatype=1), "'datatype' must be a string"
+    ),
+    "non-string link object": (
+        lambda p: p["links"][0].update(object={}), "'object' must be a string"
+    ),
+    "sources as a string": (lambda p: p["metadata"].update(sources="abc"), "list of strings"),
+    "non-string source": (
+        lambda p: p["metadata"].update(sources=["books", 5]), "list of strings"
+    ),
+    "entity listed twice": (
+        lambda p: p["entities"].append(p["entities"][0]), "listed more than once"
+    ),
+    "IRI under values": (
+        lambda p: _first_value(p).update(datatype="iri", value="https://ex.org/home"),
+        "belong under 'links'",
+    ),
+    "type as a link": (lambda p: p["links"][0].update(property="type"), "types belong to entities"),
+    "unknown datatype": (lambda p: _first_value(p).update(datatype="float"), "literal datatype"),
+    "missing links": (lambda p: p.pop("links"), "'links'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_json_graph_is_a_format_error(figure_eg, case):
+    mutate, message = MALFORMED[case]
+    payload = json.loads(export_jsongraph(figure_eg))
+    mutate(payload)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_entity_graph_json(json.dumps(payload))
 
 
 class TestFca:
