@@ -248,6 +248,7 @@ def _load_mapping_spec(document: str | bytes, schema_graph: SchemaGraph) -> Mapp
             raise FormatError(f"dataset {dataset_id}: unknown dangling policy {policy!r}")
 
         effective_data = etg.effective_data_properties(entity_type)
+        seen_maps: set[tuple[str, str, str]] = set()
         data_maps: list[DataMap] = []
         for map_raw in raw.get("data_maps", []):
             bad = sorted(set(map_raw) - _DATA_MAP_KEYS)
@@ -265,6 +266,7 @@ def _load_mapping_spec(document: str | bytes, schema_graph: SchemaGraph) -> Mapp
                     f"dataset {dataset_id}: property {data_map.property!r} is"
                     f" declared {prop.datatype!r}, not {data_map.datatype!r}"
                 )
+            _check_repeat(dataset_id, "data", data_map, seen_maps)
             data_maps.append(data_map)
 
         effective_objects = etg.effective_object_properties(entity_type)
@@ -279,6 +281,7 @@ def _load_mapping_spec(document: str | bytes, schema_graph: SchemaGraph) -> Mapp
                     f"dataset {dataset_id}: property {link_map.property!r} is not"
                     f" an effective object property of {entity_type!r}"
                 )
+            _check_repeat(dataset_id, "link", link_map, seen_maps)
             link_maps.append(link_map)
 
         entries.append(
@@ -306,6 +309,19 @@ def _load_mapping_spec(document: str | bytes, schema_graph: SchemaGraph) -> Mapp
                     f" {target.entity_type!r}, outside range {prop.range!r}"
                 )
     return spec
+
+
+def _check_repeat(
+    dataset_id: str, kind: str, new: DataMap | LinkMap, seen: set[tuple[str, str, str]]
+) -> None:
+    """A repeated (column, property) map would emit each of its triples twice."""
+    key = (kind, new.column, new.property)
+    if key in seen:
+        raise FormatError(
+            f"dataset {dataset_id}: {kind} map from column {new.column!r} onto"
+            f" property {new.property!r} given twice"
+        )
+    seen.add(key)
 
 
 # ---------------------------------------------------------------------------

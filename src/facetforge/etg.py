@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .core import (
@@ -95,21 +96,42 @@ class EntityType:
 
 @dataclass(frozen=True)
 class EntityTypeGraph:
+    """A type hierarchy with its properties, indexed once when built.
+
+    ``_types`` maps each type id to its first declaration; ``_data_by_domain``
+    and ``_objects_by_domain`` map each type id to the properties declared on
+    it, in stored order.  The index takes no part in ``==``, ``hash`` or
+    ``repr``.
+    """
+
     id: str
     types: tuple[EntityType, ...]
     data_properties: tuple[DataProperty, ...] = ()
     object_properties: tuple[ObjectProperty, ...] = ()
     provenance: Provenance = Provenance(Identifier("unspecified"), EPOCH)
+    _types: dict[str, EntityType] = field(init=False, repr=False, compare=False)
+    _data_by_domain: dict[str, list[DataProperty]] = field(
+        init=False, repr=False, compare=False
+    )
+    _objects_by_domain: dict[str, list[ObjectProperty]] = field(
+        init=False, repr=False, compare=False
+    )
 
-    def type_index(self) -> dict[str, EntityType]:
-        index: dict[str, EntityType] = {}
+    def __post_init__(self) -> None:
+        types: dict[str, EntityType] = {}
         for entity_type in self.types:
-            index.setdefault(entity_type.id, entity_type)
-        return index
+            types.setdefault(entity_type.id, entity_type)
+        object.__setattr__(self, "_types", types)
+        object.__setattr__(self, "_data_by_domain", _by_domain(self.data_properties))
+        object.__setattr__(self, "_objects_by_domain", _by_domain(self.object_properties))
+
+    def type_index(self) -> Mapping[str, EntityType]:
+        """Each type id to its first declaration (a read-only view)."""
+        return MappingProxyType(self._types)
 
     def chain(self, type_id: str) -> list[EntityType]:
         """The type itself followed by its ancestors up to the root."""
-        index = self.type_index()
+        index = self._types
         if type_id not in index:
             raise ValueError(f"ETG {self.id}: unknown type {type_id!r}")
         chain = [index[type_id]]
@@ -124,23 +146,27 @@ class EntityTypeGraph:
 
     def effective_data_properties(self, type_id: str) -> dict[str, DataProperty]:
         """Own and inherited data properties; nearest declaration wins."""
-        properties: dict[str, DataProperty] = {}
-        for entity_type in self.chain(type_id):
-            for prop in self.data_properties:
-                if prop.domain == entity_type.id and prop.name not in properties:
-                    properties[prop.name] = prop
-        return properties
+        return self._effective(type_id, self._data_by_domain)
 
     def effective_object_properties(self, type_id: str) -> dict[str, ObjectProperty]:
-        properties: dict[str, ObjectProperty] = {}
+        return self._effective(type_id, self._objects_by_domain)
+
+    def _effective(self, type_id: str, by_domain: Mapping[str, list]) -> dict:
+        properties: dict = {}
         for entity_type in self.chain(type_id):
-            for prop in self.object_properties:
-                if prop.domain == entity_type.id and prop.name not in properties:
-                    properties[prop.name] = prop
+            for prop in by_domain.get(entity_type.id, ()):
+                properties.setdefault(prop.name, prop)
         return properties
 
     def descends_from(self, type_id: str, ancestor_id: str) -> bool:
         return any(t.id == ancestor_id for t in self.chain(type_id))
+
+
+def _by_domain(properties: Sequence) -> dict[str, list]:
+    grouped: dict[str, list] = {}
+    for prop in properties:
+        grouped.setdefault(prop.domain, []).append(prop)
+    return grouped
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +667,7 @@ def ground(
     grounding[root.id] = root_type
 
     queue = [root.id]
-    while queue:
-        current = queue.pop(0)
+    for current in queue:  # breadth first; the loop reads what it appends
         for child in ontology.children(current):
             type_id = mapping.get(child.id) or match_label(child.label)
             if type_id is None:

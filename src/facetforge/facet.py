@@ -16,8 +16,6 @@ from .core import Label
 from .schedule import (
     INDICATORS,
     ClassificationSchedule,
-    Concept,
-    FacetCategory,
     full_notation,
     resolve_notation,
 )
@@ -124,16 +122,9 @@ def class_number_string(schedule: ClassificationSchedule, number: ClassNumber) -
     text = number.base_notation
     for code, concept_ids in number.facets:
         category = schedule.category(code)
-        leaf = _concept(category, concept_ids[-1])
+        leaf = category.concept(concept_ids[-1])
         text += category.indicator + full_notation(category, leaf)
     return text
-
-
-def _concept(category: FacetCategory, concept_id: str) -> Concept:
-    for concept in category.concepts:
-        if concept.id == concept_id:
-            return concept
-    raise ValueError(f"category {category.code}: unknown concept {concept_id!r}")
 
 
 def parse_class_number(
@@ -207,7 +198,7 @@ def chain_links(schedule: ClassificationSchedule, number: ClassNumber) -> list[C
         category = schedule.category(code)
         facet_notation = ""
         for concept_id in concept_ids:
-            concept = _concept(category, concept_id)
+            concept = category.concept(concept_id)
             facet_notation += concept.notation
             links.append(
                 ChainLink(

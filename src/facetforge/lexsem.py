@@ -8,7 +8,7 @@ set it apart from its genus.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .core import FormatError, validate_identifier
@@ -46,9 +46,34 @@ class CatalogueEntry:
 
 @dataclass(frozen=True)
 class LexicalSemanticResource:
+    """Per-language synset hierarchies, indexed once when built.
+
+    ``_senses`` maps each language's lemmas to the synset with the smallest
+    id that lists them, and ``_roots`` holds each language's genus-less
+    synsets.  The index takes no part in ``==`` or ``repr``; it reflects the
+    hierarchies as passed in, which are not to be changed afterwards.
+    """
+
     id: str
     hierarchies: Mapping[str, Mapping[str, Synset]]
     catalogue: tuple[CatalogueEntry, ...] = ()
+    _senses: dict[str, dict[str, Synset]] = field(init=False, repr=False, compare=False)
+    _roots: dict[str, tuple[Synset, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        senses: dict[str, dict[str, Synset]] = {}
+        roots: dict[str, tuple[Synset, ...]] = {}
+        for tag, synsets in self.hierarchies.items():
+            first: dict[str, Synset] = {}
+            for synset in synsets.values():
+                for lemma in synset.lemmas:
+                    held = first.get(lemma)
+                    if held is None or synset.id < held.id:
+                        first[lemma] = synset
+            senses[tag] = first
+            roots[tag] = tuple(s for s in synsets.values() if s.genus is None)
+        object.__setattr__(self, "_senses", senses)
+        object.__setattr__(self, "_roots", roots)
 
     def language(self, tag: str) -> Mapping[str, Synset]:
         if tag not in self.hierarchies:
@@ -56,7 +81,8 @@ class LexicalSemanticResource:
         return self.hierarchies[tag]
 
     def root_of(self, tag: str) -> Synset:
-        roots = [s for s in self.language(tag).values() if s.genus is None]
+        self.language(tag)
+        roots = self._roots[tag]
         if len(roots) != 1:
             raise ValueError(f"language {tag!r} has {len(roots)} roots")
         return roots[0]
@@ -166,14 +192,11 @@ def resolve_sense(
     resource: LexicalSemanticResource, lemma: str, language: str
 ) -> Synset:
     """First-sense lookup: the matching synset with the smallest id wins."""
-    synsets = resource.language(language)
-    needle = lemma.lower()
-    matches = sorted(
-        (s for s in synsets.values() if needle in s.lemmas), key=lambda s: s.id
-    )
-    if not matches:
+    resource.language(language)
+    synset = resource._senses[language].get(lemma.lower())
+    if synset is None:
         raise ValueError(f"lemma {lemma!r} not found in language {language!r}")
-    return matches[0]
+    return synset
 
 
 def hypernym_path(resource: LexicalSemanticResource, synset_id: str) -> list[Synset]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .core import Finding, FormatError, finding, sort_findings, validate_identifier
@@ -62,14 +62,34 @@ class OntologyNode:
 
 @dataclass(frozen=True)
 class LightweightOntology:
-    """A rooted is-a tree; nodes are keyed by id in insertion order."""
+    """A rooted is-a tree; nodes are keyed by id in insertion order.
+
+    ``_children`` maps each parent id to its children sorted by label, then
+    id; it is built once, with the ontology, and takes no part in ``==`` or
+    ``repr``.
+    """
 
     root: str
     nodes: Mapping[str, OntologyNode]
+    _children: dict[str | None, tuple[OntologyNode, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        groups: dict[str | None, list[OntologyNode]] = {}
+        for node in self.nodes.values():
+            groups.setdefault(node.parent, []).append(node)
+        object.__setattr__(
+            self,
+            "_children",
+            {
+                parent: tuple(sorted(kids, key=lambda n: (n.label, n.id)))
+                for parent, kids in groups.items()
+            },
+        )
 
     def children(self, node_id: str) -> list[OntologyNode]:
-        kids = [n for n in self.nodes.values() if n.parent == node_id]
-        return sorted(kids, key=lambda n: (n.label, n.id))
+        return list(self._children.get(node_id, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +308,120 @@ def validate_backbone(ontology: LightweightOntology) -> list[Finding]:
 # Canonical serialization
 
 
-def _node_payload(ontology: LightweightOntology, node_id: str) -> dict:
-    node = ontology.nodes[node_id]
-    return {
-        "id": node.id,
-        "label": node.label,
-        "synset": node.synset_id,
-        "class": node.schema_class,
-        "children": [
-            _node_payload(ontology, child.id) for child in ontology.children(node.id)
-        ],
-    }
+_dumps = json.JSONEncoder(ensure_ascii=True, separators=(",", ":")).encode
+_COMMA = object()
+_CLOSE = object()
 
 
 def canonical_json(ontology: LightweightOntology) -> bytes:
-    """Deterministic serialization: children sorted by label, compact JSON."""
-    payload = _node_payload(ontology, ontology.root)
-    return json.dumps(payload, ensure_ascii=True, separators=(",", ":")).encode() + b"\n"
+    """Deterministic serialization: children sorted by label, compact JSON.
+
+    The tree is written depth first from an explicit stack, so a chain of
+    any depth serializes; the bytes are those of ``json.dumps`` on the
+    nested payload.
+    """
+    parts: list[str] = []
+    stack: list[object] = [ontology.root]
+    budget = len(ontology.nodes)
+    while stack:
+        item = stack.pop()
+        if item is _COMMA:
+            parts.append(",")
+        elif item is _CLOSE:
+            parts.append("]}")
+        else:
+            budget -= 1
+            if budget < 0:
+                raise ValueError(f"ontology: parent cycle under root {ontology.root!r}")
+            node = ontology.nodes[item]
+            parts.append(
+                f'{{"id":{_dumps(node.id)},"label":{_dumps(node.label)},'
+                f'"synset":{_dumps(node.synset_id)},"class":{_dumps(node.schema_class)},'
+                '"children":['
+            )
+            stack.append(_CLOSE)
+            for position, child in enumerate(reversed(ontology._children.get(node.id, ()))):
+                if position:
+                    stack.append(_COMMA)
+                stack.append(child.id)
+    parts.append("\n")
+    return "".join(parts).encode()
+
+
+_SPACE_RE = re.compile(r"[ \t\n\r]*")
+_scan_scalar = json.JSONDecoder().scan_once
+
+
+def _load_deep_json(document: str | bytes) -> object:
+    """``json.loads`` for documents nested deeper than its recursion limit.
+
+    Open arrays and objects wait on an explicit stack, each with the key its
+    next value goes under; ``json``'s own scanner reads the scalars.
+    """
+    text = document
+    if isinstance(text, bytes):
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
+
+    def fail(message: str) -> FormatError:
+        return FormatError(f"ontology: parse error: {message}")
+
+    def skip(position: int) -> int:
+        return _SPACE_RE.match(text, position).end()
+
+    def key_at(position: int) -> tuple[str, int]:
+        if text[position:position + 1] != '"':
+            raise fail("Expecting property name enclosed in double quotes")
+        key, position = json.decoder.scanstring(text, position + 1)
+        position = skip(position)
+        if text[position:position + 1] != ":":
+            raise fail("Expecting ':' delimiter")
+        return key, skip(position + 1)
+
+    pending: list[tuple[list | dict, str | None]] = []
+    position = skip(0)
+    try:
+        while True:
+            char = text[position:position + 1]
+            if char in ("[", "{"):
+                position = skip(position + 1)
+                if text[position:position + 1] == ("]" if char == "[" else "}"):
+                    value, position = ([] if char == "[" else {}), position + 1
+                elif char == "[":
+                    pending.append(([], None))
+                    continue
+                else:
+                    key, position = key_at(position)
+                    pending.append(({}, key))
+                    continue
+            else:
+                try:
+                    value, position = _scan_scalar(text, position)
+                except StopIteration:
+                    raise fail("Expecting value") from None
+            # Hand the finished value to the containers it closes.
+            while True:
+                position = skip(position)
+                if not pending:
+                    if position != len(text):
+                        raise fail("Extra data")
+                    return value
+                container, key = pending[-1]
+                if isinstance(container, list):
+                    container.append(value)
+                else:
+                    container[key] = value
+                char, position = text[position:position + 1], position + 1
+                if char == ",":
+                    position = skip(position)
+                    if isinstance(container, dict):
+                        key, position = key_at(position)
+                        pending[-1] = (container, key)
+                    break
+                if char != ("]" if isinstance(container, list) else "}"):
+                    raise fail("Expecting ',' delimiter")
+                value = pending.pop()[0]
+    except json.JSONDecodeError as exc:
+        raise fail(exc.msg) from None
 
 
 def load_ontology_json(document: str | bytes) -> LightweightOntology:
@@ -313,10 +430,15 @@ def load_ontology_json(document: str | bytes) -> LightweightOntology:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise FormatError(f"ontology: parse error: {exc.msg}") from None
+    except RecursionError:
+        data = _load_deep_json(document)
+    if not isinstance(data, dict):
+        raise FormatError("ontology: top level must be a JSON object")
 
     nodes: dict[str, OntologyNode] = {}
-
-    def walk(raw: dict, parent: str | None) -> None:
+    stack: list[tuple[dict, str | None]] = [(data, None)]
+    while stack:
+        raw, parent = stack.pop()
         try:
             node = OntologyNode(
                 id=raw["id"],
@@ -330,10 +452,5 @@ def load_ontology_json(document: str | bytes) -> LightweightOntology:
         if node.id in nodes:
             raise FormatError(f"ontology: duplicate node id {node.id!r}")
         nodes[node.id] = node
-        for child in raw.get("children", []):
-            walk(child, node.id)
-
-    if not isinstance(data, dict):
-        raise FormatError("ontology: top level must be a JSON object")
-    walk(data, None)
+        stack.extend((child, node.id) for child in reversed(list(raw.get("children", []))))
     return LightweightOntology(data["id"], nodes)

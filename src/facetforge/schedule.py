@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from .core import (
     Finding,
@@ -74,24 +74,48 @@ class Concept:
 
 @dataclass(frozen=True)
 class FacetCategory:
-    """A facet category: one letter code, one indicator, one concept forest."""
+    """A facet category: one letter code, one indicator, one concept forest.
+
+    The category indexes its concepts once, when it is built: ``_by_id`` maps
+    each id to its concept (the last one stored wins when a directly built
+    category repeats an id) and ``_children`` maps each parent id to its
+    children in stored order, with the roots under ``None``.  The index is
+    never changed afterwards and takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     code: str
     indicator: str
     characteristic: str
     concepts: tuple[Concept, ...] = ()
+    _by_id: dict[str, Concept] = field(init=False, repr=False, compare=False)
+    _children: dict[str | None, tuple[Concept, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.code) != 1 or not self.code.isalpha():
             raise ValueError(f"category code must be a single letter: {self.code!r}")
         if self.indicator not in INDICATORS:
             raise ValueError(f"category {self.code}: indicator {self.indicator!r} not allowed")
+        groups: dict[str | None, list[Concept]] = {}
+        for concept in self.concepts:
+            groups.setdefault(concept.parent, []).append(concept)
+        object.__setattr__(self, "_by_id", {c.id: c for c in self.concepts})
+        object.__setattr__(
+            self, "_children", {parent: tuple(kids) for parent, kids in groups.items()}
+        )
 
     def roots(self) -> list[Concept]:
-        return [c for c in self.concepts if c.parent is None]
+        return list(self._children.get(None, ()))
 
     def children_of(self, concept_id: str) -> list[Concept]:
-        return [c for c in self.concepts if c.parent == concept_id]
+        return list(self._children.get(concept_id, ()))
+
+    def concept(self, concept_id: str) -> Concept:
+        try:
+            return self._by_id[concept_id]
+        except KeyError:
+            raise ValueError(f"category {self.code}: unknown concept {concept_id!r}") from None
 
 
 @dataclass(frozen=True)
@@ -132,25 +156,25 @@ class ClassificationSchedule:
         if concept_id == self.base.id:
             return None, self.base
         for category in self.categories:
-            for concept in category.concepts:
-                if concept.id == concept_id:
-                    return category, concept
+            concept = category._by_id.get(concept_id)
+            if concept is not None:
+                return category, concept
         raise ValueError(f"schedule {self.id}: unknown concept {concept_id!r}")
 
 
 def _path_to_root(category: FacetCategory, concept: Concept) -> list[Concept]:
     """Concepts from the array root down to *concept* (inclusive)."""
-    by_id = {c.id: c for c in category.concepts}
     path = [concept]
     seen = {concept.id}
-    while path[0].parent is not None:
-        parent = by_id.get(path[0].parent)
+    while path[-1].parent is not None:
+        parent = category._by_id.get(path[-1].parent)
         if parent is None or parent.id in seen:
             raise ValueError(
-                f"category {category.code}: broken parent chain at {path[0].id!r}"
+                f"category {category.code}: broken parent chain at {path[-1].id!r}"
             )
         seen.add(parent.id)
-        path.insert(0, parent)
+        path.append(parent)
+    path.reverse()
     return path
 
 
@@ -292,28 +316,50 @@ def _check_category_shape(category: FacetCategory) -> None:
     Sibling segments must be prefix-free: longest-match resolution is exact
     only under that restriction, and class-number parsing relies on it.
     """
+    _check_parent_chains(category)
+    _check_siblings(category, category.roots())
     for concept in category.concepts:
-        _path_to_root(category, concept)  # raises on cycles
-    for siblings in _arrays(category):
-        segments = [c.notation for c in siblings]
-        if len(set(segments)) != len(segments):
-            raise FormatError(f"category {category.code}: duplicate sibling notation")
-        for a in segments:
-            for b in segments:
-                if a != b and b.startswith(a):
-                    raise FormatError(
-                        f"category {category.code}: sibling notations {a!r} and {b!r}"
-                        " are not prefix-free"
-                    )
-
-
-def _arrays(category: FacetCategory) -> Iterator[list[Concept]]:
-    """Sibling groups of a category in stored order, root array first."""
-    yield category.roots()
-    for concept in category.concepts:
-        kids = category.children_of(concept.id)
+        kids = category._children.get(concept.id)
         if kids:
-            yield kids
+            _check_siblings(category, kids)
+
+
+def _check_parent_chains(category: FacetCategory) -> None:
+    """Raise on a broken parent chain, walking each concept once.
+
+    Concept ids are unique here (the loader rejects repeats), so an id known
+    to reach a root stands for its whole chain.  On a broken chain the walk
+    is repeated by ``_path_to_root``, which names the first broken link.
+    """
+    rooted: set[str] = set()
+    for concept in category.concepts:
+        trail: set[str] = set()
+        current = concept
+        while current.parent is not None and current.id not in rooted:
+            parent = category._by_id.get(current.parent)
+            if parent is None or current.id in trail:
+                _path_to_root(category, concept)  # raises
+            trail.add(current.id)
+            current = parent
+        rooted |= trail
+
+
+def _check_siblings(category: FacetCategory, siblings: Sequence[Concept]) -> None:
+    segments = [c.notation for c in siblings]
+    if len(set(segments)) != len(segments):
+        raise FormatError(f"category {category.code}: duplicate sibling notation")
+    # Distinct segments are prefix-free exactly when no segment is a prefix
+    # of the one after it in sorted order.
+    ordered = sorted(segments)
+    prefixes = {a for a, b in zip(ordered, ordered[1:]) if b.startswith(a)}
+    if prefixes:
+        # Name the pair that a scan of all pairs in stored order meets first.
+        a = next(s for s in segments if s in prefixes)
+        b = next(s for s in segments if s != a and s.startswith(a))
+        raise FormatError(
+            f"category {category.code}: sibling notations {a!r} and {b!r}"
+            " are not prefix-free"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +382,6 @@ class LintConfig:
         return self.enabled is None or code in self.enabled
 
 
-def _array_path(category: FacetCategory, parent: Concept | None) -> str:
-    if parent is None:
-        return category.code
-    return concept_path(category, parent)
-
-
 def _is_subsequence(needle: list[str], haystack: tuple[str, ...]) -> bool:
     position = 0
     for item in needle:
@@ -361,9 +401,12 @@ def lint_schedule(
     findings: list[Finding] = []
 
     for category in schedule.categories:
-        for parent, siblings in _sibling_groups(category):
-            path = _array_path(category, parent)
-            _lint_array(category, path, siblings, config, findings)
+        _lint_array(category, category.code, category.roots(), config, findings)
+        for concept in category.concepts:
+            kids = category._children.get(concept.id)
+            if kids:
+                path = concept_path(category, concept)
+                _lint_array(category, path, kids, config, findings)
         _lint_chains(schedule, category, config, findings)
 
     if config.rule_enabled("VP1"):
@@ -376,20 +419,10 @@ def lint_schedule(
     return sort_findings(findings)
 
 
-def _sibling_groups(
-    category: FacetCategory,
-) -> Iterator[tuple[Concept | None, list[Concept]]]:
-    yield None, category.roots()
-    for concept in category.concepts:
-        kids = category.children_of(concept.id)
-        if kids:
-            yield concept, kids
-
-
 def _lint_array(
     category: FacetCategory,
     path: str,
-    siblings: list[Concept],
+    siblings: Sequence[Concept],
     config: LintConfig,
     findings: list[Finding],
 ) -> None:
@@ -451,8 +484,6 @@ def _lint_chains(
     config: LintConfig,
     findings: list[Finding],
 ) -> None:
-    by_id = {c.id: c for c in category.concepts}
-
     if config.rule_enabled("CH1"):
         for concept in category.concepts:
             path = concept_path(category, concept)
@@ -461,14 +492,14 @@ def _lint_chains(
                     finding("CH1", path, "concept adds no characteristic value")
                 )
             elif concept.parent is not None:
-                parent = by_id[concept.parent]
+                parent = category._by_id[concept.parent]
                 if parent.characteristic_value == concept.characteristic_value:
                     findings.append(
                         finding("CH1", path, "concept repeats its parent's value")
                     )
 
     if config.rule_enabled("IC2"):
-        leaves = [c for c in category.concepts if not category.children_of(c.id)]
+        leaves = [c for c in category.concepts if c.id not in category._children]
         for leaf in leaves:
             chain = _path_to_root(category, leaf)
             names = [c.characteristic_value[0] for c in chain if c.characteristic_value]
@@ -570,7 +601,7 @@ def resolve_notation(
 
 
 def _resolve_in_category(category: FacetCategory, notation: str) -> list[Concept]:
-    level = category.roots()
+    level = category._children.get(None, ())
     remaining = notation
     path: list[Concept] = []
     while remaining:
@@ -589,7 +620,7 @@ def _resolve_in_category(category: FacetCategory, notation: str) -> list[Concept
         chosen = best[0]
         path.append(chosen)
         remaining = remaining[len(chosen.notation):]
-        level = category.children_of(chosen.id)
+        level = category._children.get(chosen.id, ())
     return path
 
 

@@ -8,8 +8,11 @@ from datetime import datetime, timezone
 
 from facetforge.core import Iri, Label, parse_timestamp
 from facetforge.eg import EntityGraph, Literal, Triple
+from facetforge.etg import DataProperty, EntityType, EntityTypeGraph, ObjectProperty
 from facetforge.facet import FacetFormula, FormulaSlot
 from facetforge.exports import render_term
+from facetforge.lexsem import LexicalSemanticResource, Synset
+from facetforge.ontology import LightweightOntology, OntologyNode
 from facetforge.query import BindingTable, Pattern, Query, Term, Variable
 from facetforge.schedule import ClassificationSchedule, Concept, FacetCategory
 
@@ -284,3 +287,194 @@ def nested_loop_query(eg: EntityGraph, query: Query) -> BindingTable:
     unique_rows = {tuple(b[name] for name in columns) for b in bindings}
     ordered = sorted(unique_rows, key=lambda row: [render_term(t) for t in row])
     return BindingTable(columns, tuple(ordered))
+
+
+# ---------------------------------------------------------------------------
+# Hierarchies with repeated ids and shared lemmas, and the linear scans the
+# indexed lookups replaced, kept as oracles
+
+
+def random_tangled_schedule(rng: random.Random) -> ClassificationSchedule:
+    """A directly built schedule whose categories may repeat concept ids.
+
+    Parents are drawn from ids stored earlier in the same category.  A
+    parent reference reaches the last concept stored under its id, so a
+    repeated id can also close a loop, which every chain walk must report.
+    """
+    categories = []
+    for index, code in enumerate(rng.sample("ABCDEFGH", rng.randint(1, 4))):
+        characteristic = f"division-{index}"
+        concepts: list[Concept] = []
+        for serial in range(rng.randint(0, 40)):
+            earlier = [c.id for c in concepts]
+            if earlier and rng.random() < 0.15:
+                concept_id = rng.choice(earlier)
+            else:
+                concept_id = f"{code.lower()}{serial}"
+            parent = rng.choice(earlier) if earlier and rng.random() < 0.7 else None
+            concepts.append(
+                Concept(
+                    id=concept_id,
+                    notation=rng.choice(["1", "2", "3", "12", "A", "B"]),
+                    label=Label(f"Concept {serial}"),
+                    characteristic_value=(characteristic, f"value-{serial % 7}"),
+                    parent=parent,
+                    ordinal=rng.randint(0, 3),
+                )
+            )
+        categories.append(
+            FacetCategory(code, _INDICATORS[index], characteristic, tuple(concepts))
+        )
+    return ClassificationSchedule(
+        id="TANGLED",
+        base=Concept(id="base", notation="L", label=Label("Base")),
+        succession=tuple(f"division-{i}" for i in range(len(categories))),
+        categories=tuple(categories),
+    )
+
+
+def scan_roots(category: FacetCategory) -> list[Concept]:
+    return [c for c in category.concepts if c.parent is None]
+
+
+def scan_children_of(category: FacetCategory, concept_id: str) -> list[Concept]:
+    return [c for c in category.concepts if c.parent == concept_id]
+
+
+def scan_full_notation(category: FacetCategory, concept: Concept) -> str:
+    by_id = {c.id: c for c in category.concepts}
+    path = [concept]
+    seen = {concept.id}
+    while path[0].parent is not None:
+        parent = by_id.get(path[0].parent)
+        if parent is None or parent.id in seen:
+            raise ValueError(
+                f"category {category.code}: broken parent chain at {path[0].id!r}"
+            )
+        seen.add(parent.id)
+        path.insert(0, parent)
+    return "".join(c.notation for c in path)
+
+
+def scan_children(schedule: ClassificationSchedule, concept_id: str) -> list[Concept]:
+    if concept_id == schedule.base.id:
+        return []
+    for category in schedule.categories:
+        if any(c.id == concept_id for c in category.concepts):
+            kids = scan_children_of(category, concept_id)
+            return sorted(kids, key=lambda c: (c.ordinal, c.notation))
+    raise ValueError(f"schedule {schedule.id}: unknown concept {concept_id!r}")
+
+
+def random_lexicon(rng: random.Random) -> LexicalSemanticResource:
+    """Several languages whose synsets share lemmas, stored in random id order.
+
+    A language may have no root or several; ``root_of`` reports those.
+    """
+    pool = ["bank", "book", "work", "press", "house", "author", "place"]
+    hierarchies: dict[str, dict[str, Synset]] = {}
+    for tag in rng.sample(["en", "de", "it", "fr"], rng.randint(1, 4)):
+        serials = list(range(rng.randint(0, 30)))
+        rng.shuffle(serials)
+        synsets: dict[str, Synset] = {}
+        for serial in serials:
+            synset_id = f"{tag}-s{serial:02d}"
+            genus = None
+            if synsets and rng.random() < 0.9:
+                genus = rng.choice(sorted(synsets))
+            synsets[synset_id] = Synset(
+                id=synset_id,
+                language=tag,
+                lemmas=tuple(rng.sample(pool, rng.randint(1, 3))),
+                genus=genus,
+                differentia=("d",) if genus else (),
+            )
+        hierarchies[tag] = synsets
+    return LexicalSemanticResource("random", hierarchies)
+
+
+def scan_resolve_sense(resource: LexicalSemanticResource, lemma: str, language: str) -> Synset:
+    synsets = resource.language(language)
+    needle = lemma.lower()
+    matches = sorted((s for s in synsets.values() if needle in s.lemmas), key=lambda s: s.id)
+    if not matches:
+        raise ValueError(f"lemma {lemma!r} not found in language {language!r}")
+    return matches[0]
+
+
+def scan_root_of(resource: LexicalSemanticResource, tag: str) -> Synset:
+    roots = [s for s in resource.language(tag).values() if s.genus is None]
+    if len(roots) != 1:
+        raise ValueError(f"language {tag!r} has {len(roots)} roots")
+    return roots[0]
+
+
+def random_ontology(rng: random.Random) -> LightweightOntology:
+    """A rooted tree with repeated labels, stored in random order."""
+    ids = [f"n{i}" for i in range(rng.randint(1, 60))]
+    parents: dict[str, str | None] = {ids[0]: None}
+    for position in range(1, len(ids)):
+        parents[ids[position]] = rng.choice(ids[:position])
+    order = ids[:]
+    rng.shuffle(order)
+    nodes = {
+        node_id: OntologyNode(
+            id=node_id, label=rng.choice(["a", "b", "c", "B"]), parent=parents[node_id]
+        )
+        for node_id in order
+    }
+    return LightweightOntology(ids[0], nodes)
+
+
+def scan_ontology_children(ontology: LightweightOntology, node_id: str) -> list[OntologyNode]:
+    kids = [n for n in ontology.nodes.values() if n.parent == node_id]
+    return sorted(kids, key=lambda n: (n.label, n.id))
+
+
+def random_etg(rng: random.Random) -> EntityTypeGraph:
+    """Types that may repeat ids or loop, and properties redeclared along chains."""
+    ids = [f"T{i}" for i in range(rng.randint(1, 12))]
+    types = []
+    for position, type_id in enumerate(ids):
+        parent = rng.choice(ids[:position]) if position and rng.random() < 0.85 else None
+        if rng.random() < 0.05:
+            parent = rng.choice(ids)  # may close a loop
+        types.append(EntityType(type_id, Label(type_id), parent))
+    for _ in range(rng.randint(0, 2)):
+        types.insert(rng.randrange(len(types) + 1), EntityType(rng.choice(ids), Label("twin")))
+    names = ["name", "title", "size", "link"]
+    data = [
+        DataProperty(rng.choice(names), rng.choice(ids), rng.choice(["string", "integer"]))
+        for _ in range(rng.randint(0, 10))
+    ]
+    objects = [
+        ObjectProperty(rng.choice(names), rng.choice(ids), rng.choice(ids))
+        for _ in range(rng.randint(0, 10))
+    ]
+    return EntityTypeGraph("random", tuple(types), tuple(data), tuple(objects))
+
+
+def scan_chain(etg: EntityTypeGraph, type_id: str) -> list[EntityType]:
+    index: dict[str, EntityType] = {}
+    for entity_type in etg.types:
+        index.setdefault(entity_type.id, entity_type)
+    if type_id not in index:
+        raise ValueError(f"ETG {etg.id}: unknown type {type_id!r}")
+    chain = [index[type_id]]
+    seen = {type_id}
+    while chain[-1].parent is not None:
+        parent = chain[-1].parent
+        if parent not in index or parent in seen:
+            raise ValueError(f"ETG {etg.id}: broken parent chain at {chain[-1].id!r}")
+        seen.add(parent)
+        chain.append(index[parent])
+    return chain
+
+
+def scan_effective(etg: EntityTypeGraph, type_id: str, properties: tuple) -> dict:
+    effective: dict = {}
+    for entity_type in scan_chain(etg, type_id):
+        for prop in properties:
+            if prop.domain == entity_type.id and prop.name not in effective:
+                effective[prop.name] = prop
+    return effective

@@ -274,3 +274,29 @@ class TestMalformedDocuments:
         args[args.index("--spec") + 1] = self.write(tmp_path, "spec.json", data)
         assert main(["eg", "build", *args]) == 2
         assert capsys.readouterr().err == "error: mapping spec: missing key 'id'\n"
+
+    def build_with_spec(self, tmp_path, ontology_file, spec) -> int:
+        args = list(EG_BUILD_ARGS)
+        args[1] = str(ontology_file)
+        args[args.index("--spec") + 1] = self.write(tmp_path, "spec.json", spec)
+        return main(["eg", "build", *args])
+
+    def test_mapping_repeats_a_column_property_pair(self, tmp_path, ontology_file, capsys):
+        data = json.loads(fixture_text("du.mapping.json"))
+        people = next(d for d in data["datasets"] if d["id"] == "people")
+        people["data_maps"].append({"column": "name", "property": "name", "datatype": "string"})
+        assert self.build_with_spec(tmp_path, ontology_file, data) == 2
+        assert capsys.readouterr().err == (
+            "error: dataset people: data map from column 'name' onto property 'name'"
+            " given twice\n"
+        )
+
+    def test_mapping_repeats_a_link_map(self, tmp_path, ontology_file, capsys):
+        data = json.loads(fixture_text("du.mapping.json"))
+        books = next(d for d in data["datasets"] if d["id"] == "books")
+        books["link_maps"].append(dict(books["link_maps"][0]))
+        assert self.build_with_spec(tmp_path, ontology_file, data) == 2
+        assert capsys.readouterr().err == (
+            "error: dataset books: link map from column 'author' onto property 'author'"
+            " given twice\n"
+        )

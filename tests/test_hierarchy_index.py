@@ -1,0 +1,130 @@
+"""The hierarchy indexes against the linear scans they replaced."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from facetforge.fixtures import fixture_text
+from facetforge.lexsem import resolve_sense
+from facetforge.schedule import children, full_notation, load_schedule
+from helpers import (
+    random_etg,
+    random_lexicon,
+    random_ontology,
+    random_tangled_schedule,
+    scan_chain,
+    scan_children,
+    scan_children_of,
+    scan_effective,
+    scan_full_notation,
+    scan_ontology_children,
+    scan_resolve_sense,
+    scan_root_of,
+    scan_roots,
+)
+
+
+def outcome(function, *args):
+    """The result of a call, or the type and text of the error it raised."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestScheduleIndex:
+    def test_lookups_match_linear_scans(self):
+        repeated = looped = 0
+        for seed in range(300):
+            schedule = random_tangled_schedule(random.Random(seed))
+            for category in schedule.categories:
+                ids = [c.id for c in category.concepts]
+                repeated += len(ids) != len(set(ids))
+                assert category.roots() == scan_roots(category)
+                for concept in category.concepts:
+                    assert category.children_of(concept.id) == scan_children_of(
+                        category, concept.id
+                    )
+                    expected = outcome(scan_full_notation, category, concept)
+                    looped += isinstance(expected, tuple)
+                    assert outcome(full_notation, category, concept) == expected
+                    assert outcome(children, schedule, concept.id) == outcome(
+                        scan_children, schedule, concept.id
+                    )
+                assert category.children_of("absent") == []
+            for concept_id in ("base", "absent"):
+                assert outcome(children, schedule, concept_id) == outcome(
+                    scan_children, schedule, concept_id
+                )
+        assert repeated >= 50 and looped >= 10
+
+    def test_two_loads_compare_equal_and_hash_alike(self):
+        first = load_schedule(fixture_text("med.schedule.json"))
+        second = load_schedule(fixture_text("med.schedule.json"))
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert "_by_id" not in repr(first) and "_children" not in repr(first)
+
+
+class TestLexiconIndex:
+    def test_lookups_match_linear_scans(self):
+        shared = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            resource = random_lexicon(rng)
+            for tag, synsets in resource.hierarchies.items():
+                assert outcome(resource.root_of, tag) == outcome(scan_root_of, resource, tag)
+                holders: dict[str, int] = {}
+                for synset in synsets.values():
+                    for lemma in synset.lemmas:
+                        holders[lemma] = holders.get(lemma, 0) + 1
+                shared += sum(count > 1 for count in holders.values())
+                for lemma in ("bank", "BOOK", "Press", "absent"):
+                    assert outcome(resolve_sense, resource, lemma, tag) == outcome(
+                        scan_resolve_sense, resource, lemma, tag
+                    )
+            assert outcome(resolve_sense, resource, "bank", "xx") == outcome(
+                scan_resolve_sense, resource, "bank", "xx"
+            )
+        assert shared >= 300
+
+
+class TestOntologyIndex:
+    def test_children_match_linear_scan(self):
+        for seed in range(300):
+            ontology = random_ontology(random.Random(seed))
+            for node_id in [*ontology.nodes, "absent", None]:
+                assert ontology.children(node_id) == scan_ontology_children(ontology, node_id)
+
+
+class TestEtgIndex:
+    def test_lookups_match_linear_scans(self):
+        looped = 0
+        for seed in range(300):
+            etg = random_etg(random.Random(seed))
+            first_declared = {t.id: t for t in reversed(etg.types)}
+            assert etg.type_index() == first_declared
+            for type_id in [*first_declared, "absent"]:
+                expected = outcome(scan_chain, etg, type_id)
+                looped += isinstance(expected, tuple) and type_id != "absent"
+                assert outcome(etg.chain, type_id) == expected
+                assert outcome(etg.effective_data_properties, type_id) == outcome(
+                    scan_effective, etg, type_id, etg.data_properties
+                )
+                assert outcome(etg.effective_object_properties, type_id) == outcome(
+                    scan_effective, etg, type_id, etg.object_properties
+                )
+                for ancestor in ("T0", "T1", "absent"):
+                    assert outcome(etg.descends_from, type_id, ancestor) == outcome(
+                        lambda: any(t.id == ancestor for t in scan_chain(etg, type_id))
+                    )
+        assert looped >= 10
+
+    def test_type_index_is_read_only(self, du_etg):
+        index = du_etg.type_index()
+        with pytest.raises(TypeError):
+            index["Person"] = None
+        assert du_etg.type_index()["Person"].id == "Person"

@@ -16,6 +16,7 @@ from facetforge.ontology import (
     normalize_class_name,
     validate_backbone,
 )
+from helpers import scan_ontology_children
 
 
 def schema_document(class_names):
@@ -166,3 +167,57 @@ class TestSerialization:
         assert loaded.root == du_ontology.root
         assert loaded.nodes == du_ontology.nodes
         assert canonical_json(loaded) == canonical_json(du_ontology)
+
+    def test_deep_chain_round_trips_to_equal_bytes(self):
+        nodes = {}
+        parent = None
+        for depth in range(100_000):
+            node_id = f"n{depth}"
+            nodes[node_id] = OntologyNode(node_id, f"level {depth}", node_id, None, parent)
+            parent = node_id
+        ontology = LightweightOntology("n0", nodes)
+        payload = canonical_json(ontology)
+        assert payload.startswith(
+            b'{"id":"n0","label":"level 0","synset":"n0","class":null,"children":[{"id":"n1"'
+        )
+        assert payload.endswith(b'"children":[]}' + b"]}" * 99_999 + b"\n")
+        loaded = load_ontology_json(payload)
+        assert loaded == ontology
+        assert canonical_json(loaded) == payload
+
+    def test_cycle_through_the_root_is_refused(self):
+        ontology = LightweightOntology(
+            "a",
+            {
+                "a": OntologyNode(id="a", label="A", parent="b"),
+                "b": OntologyNode(id="b", label="B", parent="a"),
+            },
+        )
+        with pytest.raises(ValueError, match="parent cycle under root 'a'"):
+            canonical_json(ontology)
+
+    def test_bytes_match_nested_json_dumps(self, du_ontology):
+        tricky = {
+            "r": OntologyNode("r", 'say "hi"', "s1", None),
+            "a": OntologyNode("a", "Zoë\\", None, "Klass", "r"),
+            "b": OntologyNode("b", "\u2603 snow", "s2", None, "r"),
+            "c": OntologyNode("c", "tab\there", None, None, "a"),
+        }
+        for ontology in (du_ontology, LightweightOntology("r", tricky)):
+
+            def nested(node_id):
+                node = ontology.nodes[node_id]
+                return {
+                    "id": node.id,
+                    "label": node.label,
+                    "synset": node.synset_id,
+                    "class": node.schema_class,
+                    "children": [
+                        nested(child.id) for child in scan_ontology_children(ontology, node_id)
+                    ],
+                }
+
+            expected = json.dumps(
+                nested(ontology.root), ensure_ascii=True, separators=(",", ":")
+            )
+            assert canonical_json(ontology) == expected.encode() + b"\n"

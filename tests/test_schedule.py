@@ -97,6 +97,48 @@ class TestLoad:
         with pytest.raises(FormatError, match="prefix-free"):
             load_schedule(json.dumps(data))
 
+    def test_prefix_message_names_the_pair_first_in_stored_order(self):
+        data = med_document()
+        data["categories"][0]["concepts"][1]["notation"] = "9C1"
+        with pytest.raises(FormatError) as caught:
+            load_schedule(json.dumps(data))
+        assert str(caught.value) == (
+            "category P: sibling notations '9C' and '9C1' are not prefix-free"
+        )
+        concepts = data["categories"][1]["concepts"]
+        concepts[0]["notation"], concepts[2]["notation"] = "31", "3"
+        for cid, notation in (("x1", "1"), ("x12", "12")):
+            concepts.append(dict(concepts[2], id=cid, notation=notation, value=cid, label=cid))
+        data["categories"][0]["concepts"][1]["notation"] = "9E"
+        with pytest.raises(FormatError) as caught:
+            load_schedule(json.dumps(data))
+        assert str(caught.value) == (
+            "category E: sibling notations '3' and '31' are not prefix-free"
+        )
+
+    def test_flat_array_of_20k_siblings_loads(self):
+        data = med_document()
+        template = data["categories"][0]["concepts"][0]
+        data["categories"][0]["concepts"] = [
+            dict(template, id=f"c{n}", notation=f"{n:05d}", label=f"C {n}", value=f"v{n}",
+                 ordinal=n)
+            for n in range(20000)
+        ]
+        schedule = load_schedule(json.dumps(data))
+        assert len(schedule.category("P").roots()) == 20000
+        assert lint_schedule(schedule) == []
+        assert [c.id for c in resolve_notation(schedule, "19999", "P")] == ["c19999"]
+
+    def test_parent_cycle_rejected_at_its_first_broken_link(self):
+        data = med_document()
+        concepts = data["categories"][1]["concepts"]
+        concepts[2]["parent"] = "tropical-disease"
+        concepts[0]["parent"] = "tropical-disease"
+        concepts.insert(0, concepts.pop(2))
+        with pytest.raises(ValueError) as caught:
+            load_schedule(json.dumps(data))
+        assert str(caught.value) == "category E: broken parent chain at 'disease'"
+
 
 class TestLintCleanFixture:
     def test_med_is_clean(self, med):
