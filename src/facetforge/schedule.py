@@ -316,32 +316,13 @@ def _check_category_shape(category: FacetCategory) -> None:
     Sibling segments must be prefix-free: longest-match resolution is exact
     only under that restriction, and class-number parsing relies on it.
     """
-    _check_parent_chains(category)
+    for concept in category.concepts:
+        _path_to_root(category, concept)  # raises on cycles
     _check_siblings(category, category.roots())
     for concept in category.concepts:
         kids = category._children.get(concept.id)
         if kids:
             _check_siblings(category, kids)
-
-
-def _check_parent_chains(category: FacetCategory) -> None:
-    """Raise on a broken parent chain, walking each concept once.
-
-    Concept ids are unique here (the loader rejects repeats), so an id known
-    to reach a root stands for its whole chain.  On a broken chain the walk
-    is repeated by ``_path_to_root``, which names the first broken link.
-    """
-    rooted: set[str] = set()
-    for concept in category.concepts:
-        trail: set[str] = set()
-        current = concept
-        while current.parent is not None and current.id not in rooted:
-            parent = category._by_id.get(current.parent)
-            if parent is None or current.id in trail:
-                _path_to_root(category, concept)  # raises
-            trail.add(current.id)
-            current = parent
-        rooted |= trail
 
 
 def _check_siblings(category: FacetCategory, siblings: Sequence[Concept]) -> None:

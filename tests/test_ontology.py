@@ -9,6 +9,7 @@ from facetforge.lexsem import hypernym_path
 from facetforge.ontology import (
     LightweightOntology,
     OntologyNode,
+    _load_deep_json,
     build_lightweight_ontology,
     canonical_json,
     load_dataset_schema,
@@ -221,3 +222,62 @@ class TestSerialization:
                 nested(ontology.root), ensure_ascii=True, separators=(",", ":")
             )
             assert canonical_json(ontology) == expected.encode() + b"\n"
+
+
+# Documents nested past json's recursion limit go to the stack-based reader.
+DEEP = 5000
+
+VALID_DOCUMENTS = [
+    '{"id":"r","label":"R","children":[]}',
+    ' {\n "a" : [ 1 , -2.5e3 , true , false , null , "\\u00e9\\n\\"" ] ,\t"b" : { } , "c" : [ ] } \r\n',
+    '[[], {}, [{}], {"k": [[]]}, "", 0, {"dup": 1, "dup": 2}]',
+    '"just a string"',
+    '12',
+]
+
+
+@pytest.mark.parametrize("document", VALID_DOCUMENTS)
+def test_deep_reader_returns_what_json_loads_returns(document):
+    for payload in (document, document.encode(), document.encode("utf-16")):
+        assert _load_deep_json(payload) == json.loads(payload)
+    nested = "[" * DEEP + document + "]" * DEEP
+    value = _load_deep_json(nested)
+    for _ in range(DEEP):
+        assert isinstance(value, list) and len(value) == 1
+        value = value[0]
+    assert value == json.loads(document)
+
+
+# (innermost text, text after the closing brackets, json's message)
+MALFORMED = [
+    ("x", "", "Expecting value"),
+    ("[,1]", "", "Expecting value"),
+    ("{1}", "", "Expecting property name enclosed in double quotes"),
+    ('{"a":1,2}', "", "Expecting property name enclosed in double quotes"),
+    ('{"a" 1}', "", "Expecting ':' delimiter"),
+    ("[1 2]", "", "Expecting ',' delimiter"),
+    ('{"a":1]', "", "Expecting ',' delimiter"),
+    ("1", " x", "Extra data"),
+    ('"ab', "", "Unterminated string starting at"),
+    ('"a\\q"', "", "Invalid \\escape"),
+    ('{"a\\q":1}', "", "Invalid \\escape"),
+    ('"a\tb"', "", "Invalid control character at"),
+]
+
+
+@pytest.mark.parametrize(("inner", "tail", "message"), MALFORMED)
+def test_malformed_deep_documents_report_json_messages(inner, tail, message):
+    def nest(depth):
+        return '{"id":' * depth + inner + "}" * depth + tail
+
+    with pytest.raises(json.JSONDecodeError) as shallow:
+        json.loads(nest(3))
+    assert shallow.value.msg == message
+    with pytest.raises(FormatError) as deep:
+        load_ontology_json(nest(DEEP))
+    assert str(deep.value) == f"ontology: parse error: {message}"
+
+
+def test_unclosed_deep_document_expects_a_value():
+    with pytest.raises(FormatError, match="^ontology: parse error: Expecting value$"):
+        load_ontology_json("[" * DEEP)
