@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import Finding, FormatError, finding, sort_findings, validate_identifier
+from .core import Fields, Finding, FormatError, check, finding, parse_json, sort_findings
 from .facet import SubjectHeading
 
 __all__ = [
@@ -96,49 +96,34 @@ class CatalogueRecord:
 # Loading
 
 
-_CODE_KEYS = {"id", "resource_types", "context_exemptions", "local_variations"}
-_SPEC_KEYS = {"key", "required", "sought", "order"}
-_EXEMPTION_KEYS = {"resource_type", "field", "reason"}
-_VARIATION_KEYS = {"field", "template"}
+_CODE = Fields(
+    ("id", "identifier"), ("resource_types", "object", {}), ("context_exemptions", "objects", ()),
+    ("local_variations", "objects", ()),
+)
+_SPEC = Fields(("key", "identifier"), ("required", "bool"), ("sought", "bool"), ("order", "int"))
+_EXEMPTION = Fields(("resource_type", "string"), ("field", "string"), ("reason", "string"))
+_VARIATION = Fields(("field", "string"), ("template", "string"))
 
 
 def load_catalogue_code(document: str | bytes) -> CatalogueCode:
     """Load a catalogue code from its JSON format, resolving cross-references."""
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"catalogue code: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(data, dict):
-        raise FormatError("catalogue code: top level must be a JSON object")
-    unknown = sorted(set(data) - _CODE_KEYS)
-    if unknown:
-        raise FormatError(f"catalogue code: unknown keys {unknown}")
-    if "id" not in data:
-        raise FormatError("catalogue code: missing key 'id'")
-
-    code_id = validate_identifier(data["id"]).value
+    code_id, types_raw, exemptions_raw, variations_raw = _CODE.read(
+        parse_json(document, "catalogue code"), "catalogue code"
+    )
     resource_types: dict[str, tuple[FieldSpec, ...]] = {}
-    for type_name, raw_specs in data.get("resource_types", {}).items():
-        validate_identifier(type_name)
+    for type_name, raw_specs in types_raw.items():
+        where = f"resource type {type_name}"
+        check(type_name, "identifier", f"{where}: name")
+        check(raw_specs, "objects", f"{where}: field list")
         specs: list[FieldSpec] = []
         keys: set[str] = set()
         orders: set[int] = set()
         for raw in raw_specs:
-            bad = sorted(set(raw) - _SPEC_KEYS)
-            if bad:
-                raise FormatError(f"resource type {type_name}: unknown keys {bad}")
-            spec = FieldSpec(
-                key=validate_identifier(raw["key"]).value,
-                required=bool(raw["required"]),
-                sought=bool(raw["sought"]),
-                order=int(raw["order"]),
-            )
+            spec = FieldSpec(*_SPEC.read(raw, where))
             if spec.key in keys:
-                raise FormatError(f"resource type {type_name}: duplicate field {spec.key!r}")
+                raise FormatError(f"{where}: duplicate field {spec.key!r}")
             if spec.order in orders:
-                raise FormatError(f"resource type {type_name}: duplicate order {spec.order}")
+                raise FormatError(f"{where}: duplicate order {spec.order}")
             keys.add(spec.key)
             orders.add(spec.order)
             specs.append(spec)
@@ -147,11 +132,8 @@ def load_catalogue_code(document: str | bytes) -> CatalogueCode:
     all_fields = {s.key for specs in resource_types.values() for s in specs}
 
     exemptions: list[ContextExemption] = []
-    for raw in data.get("context_exemptions", []):
-        bad = sorted(set(raw) - _EXEMPTION_KEYS)
-        if bad:
-            raise FormatError(f"context exemption: unknown keys {bad}")
-        exemption = ContextExemption(raw["resource_type"], raw["field"], raw["reason"])
+    for raw in exemptions_raw:
+        exemption = ContextExemption(*_EXEMPTION.read(raw, "context exemption"))
         if exemption.resource_type not in resource_types:
             raise FormatError(
                 f"context exemption references unknown type {exemption.resource_type!r}"
@@ -163,11 +145,8 @@ def load_catalogue_code(document: str | bytes) -> CatalogueCode:
         exemptions.append(exemption)
 
     variations: list[LocalVariation] = []
-    for raw in data.get("local_variations", []):
-        bad = sorted(set(raw) - _VARIATION_KEYS)
-        if bad:
-            raise FormatError(f"local variation: unknown keys {bad}")
-        variation = LocalVariation(raw["field"], raw["template"])
+    for raw in variations_raw:
+        variation = LocalVariation(*_VARIATION.read(raw, "local variation"))
         if variation.field not in all_fields:
             raise FormatError(f"local variation references unknown field {variation.field!r}")
         variations.append(variation)
@@ -275,27 +254,35 @@ def record_to_json(record: CatalogueRecord) -> str:
     return json.dumps(payload, ensure_ascii=True, indent=2)
 
 
+_RECORD = Fields(
+    ("record_id", "string"), ("resource_type", "string"), ("call_number", "object"),
+    ("accession_number", "int"), ("headings", "objects"), ("fields", "objects"),
+)
+_CALL_NUMBER = Fields(("class", "string"), ("book", "string"))
+_HEADING = Fields(("heading", "string"), ("reference", "string"))
+_FIELD = Fields(("key", "string"), ("value", "string"))
+
+
 def load_record(document: str | bytes) -> CatalogueRecord:
     """Parse a record previously rendered by :func:`record_to_json`."""
+    record_id, resource_type, call_raw, accession, headings_raw, fields_raw = _RECORD.read(
+        parse_json(document, "record"), "record"
+    )
+    call_parts = _CALL_NUMBER.read(call_raw, "record call_number")
+    heading_parts = [_HEADING.read(raw, "record heading") for raw in headings_raw]
     try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"record: parse error: {exc.msg}") from None
-    try:
-        return CatalogueRecord(
-            record_id=data["record_id"],
-            resource_type=data["resource_type"],
-            fields=tuple((f["key"], f["value"]) for f in data["fields"]),
-            headings=tuple(
-                SubjectHeading(h["heading"], h["reference"]) for h in data["headings"]
-            ),
-            call_number=CallNumber(
-                data["call_number"]["class"], data["call_number"]["book"]
-            ),
-            accession_number=int(data["accession_number"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"record: malformed document ({exc})") from None
+        call_number = CallNumber(*call_parts)
+        headings = tuple(SubjectHeading(*parts) for parts in heading_parts)
+    except ValueError as exc:  # a bad book part or an empty heading
+        raise FormatError(f"record: {exc}") from None
+    return CatalogueRecord(
+        record_id=record_id,
+        resource_type=resource_type,
+        fields=tuple(tuple(_FIELD.read(raw, "record field")) for raw in fields_raw),
+        headings=headings,
+        call_number=call_number,
+        accession_number=accession,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,16 @@ immutable, so they can be shared freely between concurrent tasks.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 __all__ = [
     "ERROR",
     "WARNING",
+    "Fields",
     "Finding",
     "FormatError",
     "Identifier",
@@ -21,10 +23,12 @@ __all__ = [
     "Label",
     "Provenance",
     "RULES",
+    "check",
     "finding",
     "format_timestamp",
     "has_errors",
     "mint_iri",
+    "parse_json",
     "parse_timestamp",
     "sort_findings",
     "timestamp_identifier",
@@ -50,24 +54,26 @@ class Identifier:
     value: str
 
     def __post_init__(self) -> None:
-        if not _IDENTIFIER_RE.match(self.value):
-            raise ValueError(f"invalid identifier: {self.value!r}")
+        _check_identifier(self.value)
 
     def __str__(self) -> str:
         return self.value
 
 
-def validate_identifier(text: str) -> Identifier:
-    """Validate *text* as an identifier, reporting the first bad position."""
+def _check_identifier(text: str) -> str:
+    """Return *text* if it is an identifier; else report its first bad position."""
+    if isinstance(text, str) and _IDENTIFIER_RE.match(text):
+        return text
     if not isinstance(text, str):
         raise ValueError(f"identifier must be text, got {type(text).__name__}")
     if not text:
         raise ValueError("identifier is empty")
-    for index, char in enumerate(text):
-        if char not in _IDENTIFIER_CHARS:
-            raise ValueError(
-                f"identifier {text!r}: character {char!r} illegal at index {index}"
-            )
+    index, char = next((i, c) for i, c in enumerate(text) if c not in _IDENTIFIER_CHARS)
+    raise ValueError(f"identifier {text!r}: character {char!r} illegal at index {index}")
+
+
+def validate_identifier(text: str) -> Identifier:
+    """Validate *text* as an identifier, reporting the first bad position."""
     return Identifier(text)
 
 
@@ -98,7 +104,7 @@ def mint_iri(base: Iri, segments: Sequence[str | Identifier]) -> Iri:
     if not segments:
         raise ValueError("mint_iri requires at least one segment")
     values = [
-        segment.value if isinstance(segment, Identifier) else validate_identifier(segment).value
+        segment.value if isinstance(segment, Identifier) else _check_identifier(segment)
         for segment in segments
     ]
     return Iri(base.value.rstrip("/") + "/" + "/".join(values))
@@ -147,6 +153,181 @@ def parse_timestamp(text: str) -> datetime:
     except ValueError as exc:
         raise ValueError(f"invalid timestamp {text!r}: expected YYYY-MM-DDTHH:MM:SSZ") from exc
     return parsed.replace(tzinfo=timezone.utc)
+
+
+# ---------------------------------------------------------------------------
+# Reading JSON documents
+#
+# Every loader parses with ``parse_json`` and checks each object it walks
+# against a ``Fields`` table, so a malformed document always ends in a
+# ``FormatError`` whose text names the document or object at fault.
+
+
+def parse_json(document: str | bytes, what: str) -> object:
+    """Parse *document*, reporting a syntax error as a ``FormatError``.
+
+    ``json.loads`` reads ordinary documents far faster than the stack-based
+    reader, which takes over only past ``json``'s recursion limit.
+    """
+    try:
+        try:
+            return json.loads(document)
+        except RecursionError:
+            return _load_deep_json(document)
+    except json.JSONDecodeError as exc:
+        raise FormatError(
+            f"{what}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what}: {exc}") from None
+
+
+_SPACE_RE = re.compile(r"[ \t\n\r]*")
+_scan_scalar = json.JSONDecoder().scan_once
+
+
+def _load_deep_json(document: str | bytes) -> object:
+    """``json.loads`` for documents nested deeper than its recursion limit.
+
+    Open arrays and objects wait on an explicit stack, each with the key its
+    next value goes under; ``json``'s own scanner reads the scalars.  Errors
+    are the ``JSONDecodeError`` that ``json.loads`` raises, at the same
+    position.
+    """
+    text = document
+    if isinstance(text, bytes):
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
+
+    def fail(message: str, position: int) -> json.JSONDecodeError:
+        return json.JSONDecodeError(message, text, position)
+
+    def skip(position: int) -> int:
+        return _SPACE_RE.match(text, position).end()
+
+    def key_at(position: int) -> tuple[str, int]:
+        if text[position:position + 1] != '"':
+            raise fail("Expecting property name enclosed in double quotes", position)
+        key, position = json.decoder.scanstring(text, position + 1)
+        position = skip(position)
+        if text[position:position + 1] != ":":
+            raise fail("Expecting ':' delimiter", position)
+        return key, skip(position + 1)
+
+    pending: list[tuple[list | dict, str | None]] = []
+    position = skip(0)
+    while True:
+        char = text[position:position + 1]
+        if char in ("[", "{"):
+            position = skip(position + 1)
+            if text[position:position + 1] == ("]" if char == "[" else "}"):
+                value, position = ([] if char == "[" else {}), position + 1
+            elif char == "[":
+                pending.append(([], None))
+                continue
+            else:
+                key, position = key_at(position)
+                pending.append(({}, key))
+                continue
+        else:
+            try:
+                value, position = _scan_scalar(text, position)
+            except StopIteration:
+                raise fail("Expecting value", position) from None
+        # Hand the finished value to the containers it closes.
+        while True:
+            position = skip(position)
+            if not pending:
+                if position != len(text):
+                    raise fail("Extra data", position)
+                return value
+            container, key = pending[-1]
+            if isinstance(container, list):
+                container.append(value)
+            else:
+                container[key] = value
+            char, position = text[position:position + 1], position + 1
+            if char == ",":
+                position = skip(position)
+                if isinstance(container, dict):
+                    key, position = key_at(position)
+                    pending[-1] = (container, key)
+                break
+            if char != ("]" if isinstance(container, list) else "}"):
+                raise fail("Expecting ',' delimiter", position - 1)
+            value = pending.pop()[0]
+
+
+# The kinds a field may take: how messages name each, the JSON type it
+# must have (booleans are not integers here, and nothing is coerced) and a
+# further test its value must pass, if any.
+_KINDS: dict[str, tuple[str, type, Callable[[Any], object] | None]] = {
+    "string": ("a string", str, None),
+    "label": ("a non-blank string", str, str.strip),
+    "identifier": ("a string of [A-Za-z0-9._-]", str, _IDENTIFIER_RE.match),
+    "bool": ("a boolean", bool, None),
+    "int": ("an integer", int, None),
+    "strings": ("a list of strings", list, lambda v: all(type(x) is str for x in v)),
+    "objects": ("a list of objects", list, lambda v: all(type(x) is dict for x in v)),
+    "object": ("an object", dict, None),
+}
+_MISSING = object()
+
+
+def check(value: object, kind: str, what: str) -> None:
+    """Raise ``FormatError`` unless *value* is of *kind*, a field kind."""
+    noun, json_type, test = _KINDS[kind]
+    if type(value) is not json_type or (test is not None and not test(value)):
+        raise FormatError(f"{what} must be {noun}")
+
+
+class Fields:
+    """The field table of one kind of JSON object.
+
+    Each entry is ``(key, kind)`` for a required key or ``(key, kind,
+    default)`` for an optional one, where *kind* is one of ``string``,
+    ``label``, ``identifier``, ``bool``, ``int``, ``strings``, ``objects``
+    and ``object``.  An optional key whose default is ``None`` may also
+    hold ``null``.  Keys outside the table are rejected.
+    """
+
+    def __init__(self, *fields: tuple) -> None:
+        self._fields = tuple(
+            (key, *_KINDS[kind], rest[0] if rest else _MISSING) for key, kind, *rest in fields
+        )
+        self._keys = frozenset(field[0] for field in self._fields)
+
+    def read(self, raw: object, where: str) -> list:
+        """The values of *raw* in table order, defaults filled in.
+
+        Checks *raw* in one pass and raises ``FormatError`` naming *where*
+        for anything but an object with the table's keys and kinds.
+        """
+        if type(raw) is not dict:
+            raise FormatError(f"{where}: must be a JSON object")
+        values = []
+        absent = 0
+        get, keep = raw.get, values.append
+        for key, noun, json_type, test, default in self._fields:
+            value = get(key, _MISSING)
+            if value is _MISSING:
+                if default is _MISSING:
+                    self._fail(raw, where, f"missing key {key!r}")
+                absent += 1
+                value = default
+            elif type(value) is not json_type or (test is not None and not test(value)):
+                if value is not None or default is not None:
+                    self._fail(raw, where, f"{key!r} must be {noun}")
+            keep(value)
+        # JSON keys are unique, so *raw* holds a key outside the table exactly
+        # when it holds more keys than the table keys it was found to have.
+        if len(raw) + absent > len(self._fields):
+            self._fail(raw, where, "")
+        return values
+
+    def _fail(self, raw: dict, where: str, problem: str) -> None:
+        """Raise for *problem*, or first for the unknown keys of *raw*."""
+        unknown = sorted(raw.keys() - self._keys)
+        raise FormatError(f"{where}: unknown keys {unknown}" if unknown else f"{where}: {problem}")
 
 
 ERROR = "error"

@@ -18,12 +18,15 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .core import (
+    Fields,
     Finding,
     FormatError,
     Iri,
+    check,
     finding,
     format_timestamp,
     mint_iri,
+    parse_json,
     sort_findings,
     timestamp_identifier,
     validate_identifier,
@@ -196,74 +199,50 @@ class MappingSpec:
         raise ValueError(f"mapping spec has no dataset {dataset_id!r}")
 
 
-_SPEC_KEYS = {"datasets"}
-_DATASET_KEYS = {"id", "type", "id_column", "data_maps", "link_maps", "dangling_policy"}
-_DATA_MAP_KEYS = {"column", "property", "datatype"}
-_LINK_MAP_KEYS = {"column", "property", "target"}
+_SPEC = Fields(("datasets", "objects", ()))
+_DATASET = Fields(
+    ("id", "identifier"), ("type", "string"), ("id_column", "string"), ("data_maps", "objects", ()),
+    ("link_maps", "objects", ()), ("dangling_policy", "string", "error"),
+)
+_DATA_MAP = Fields(("column", "string"), ("property", "string"), ("datatype", "string"))
+_LINK_MAP = Fields(("column", "string"), ("property", "string"), ("target", "string"))
 
 
 def load_mapping_spec(document: str | bytes, schema_graph: SchemaGraph) -> MappingSpec:
     """Load a mapping spec and validate it against the grounded schema."""
-    try:
-        return _load_mapping_spec(document, schema_graph)
-    except KeyError as exc:
-        raise FormatError(f"mapping spec: missing key {exc}") from None
-    except TypeError as exc:
-        raise FormatError(f"mapping spec: malformed document ({exc})") from None
-
-
-def _load_mapping_spec(document: str | bytes, schema_graph: SchemaGraph) -> MappingSpec:
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"mapping spec: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(data, dict):
-        raise FormatError("mapping spec: top level must be a JSON object")
-    unknown = sorted(set(data) - _SPEC_KEYS)
-    if unknown:
-        raise FormatError(f"mapping spec: unknown keys {unknown}")
-
+    (datasets_raw,) = _SPEC.read(parse_json(document, "mapping spec"), "mapping spec")
     etg = schema_graph.etg
     type_index = etg.type_index()
 
     entries: list[DatasetMapping] = []
     seen_ids: set[str] = set()
-    for raw in data.get("datasets", []):
-        bad = sorted(set(raw) - _DATASET_KEYS)
-        if bad:
-            raise FormatError(f"mapping spec: unknown dataset keys {bad}")
-        dataset_id = validate_identifier(raw["id"]).value
+    for raw in datasets_raw:
+        dataset_id, entity_type, id_column, data_raw, links_raw, policy = _DATASET.read(
+            raw, "mapping spec dataset"
+        )
+        where = f"dataset {dataset_id}"
         if dataset_id in seen_ids:
             raise FormatError(f"mapping spec: duplicate dataset {dataset_id!r}")
         seen_ids.add(dataset_id)
-        entity_type = raw["type"]
         if entity_type not in type_index:
-            raise FormatError(
-                f"dataset {dataset_id}: unknown entity type {entity_type!r}"
-            )
-        policy = raw.get("dangling_policy", "error")
+            raise FormatError(f"{where}: unknown entity type {entity_type!r}")
         if policy not in DANGLING_POLICIES:
-            raise FormatError(f"dataset {dataset_id}: unknown dangling policy {policy!r}")
+            raise FormatError(f"{where}: unknown dangling policy {policy!r}")
 
         effective_data = etg.effective_data_properties(entity_type)
         seen_maps: set[tuple[str, str, str]] = set()
         data_maps: list[DataMap] = []
-        for map_raw in raw.get("data_maps", []):
-            bad = sorted(set(map_raw) - _DATA_MAP_KEYS)
-            if bad:
-                raise FormatError(f"dataset {dataset_id}: unknown data map keys {bad}")
-            data_map = DataMap(map_raw["column"], map_raw["property"], map_raw["datatype"])
+        for map_raw in data_raw:
+            data_map = DataMap(*_DATA_MAP.read(map_raw, f"{where} data map"))
             prop = effective_data.get(data_map.property)
             if prop is None:
                 raise FormatError(
-                    f"dataset {dataset_id}: property {data_map.property!r} is not"
+                    f"{where}: property {data_map.property!r} is not"
                     f" an effective data property of {entity_type!r}"
                 )
             if prop.datatype != data_map.datatype:
                 raise FormatError(
-                    f"dataset {dataset_id}: property {data_map.property!r} is"
+                    f"{where}: property {data_map.property!r} is"
                     f" declared {prop.datatype!r}, not {data_map.datatype!r}"
                 )
             _check_repeat(dataset_id, "data", data_map, seen_maps)
@@ -271,14 +250,11 @@ def _load_mapping_spec(document: str | bytes, schema_graph: SchemaGraph) -> Mapp
 
         effective_objects = etg.effective_object_properties(entity_type)
         link_maps: list[LinkMap] = []
-        for map_raw in raw.get("link_maps", []):
-            bad = sorted(set(map_raw) - _LINK_MAP_KEYS)
-            if bad:
-                raise FormatError(f"dataset {dataset_id}: unknown link map keys {bad}")
-            link_map = LinkMap(map_raw["column"], map_raw["property"], map_raw["target"])
+        for map_raw in links_raw:
+            link_map = LinkMap(*_LINK_MAP.read(map_raw, f"{where} link map"))
             if link_map.property not in effective_objects:
                 raise FormatError(
-                    f"dataset {dataset_id}: property {link_map.property!r} is not"
+                    f"{where}: property {link_map.property!r} is not"
                     f" an effective object property of {entity_type!r}"
                 )
             _check_repeat(dataset_id, "link", link_map, seen_maps)
@@ -286,29 +262,28 @@ def _load_mapping_spec(document: str | bytes, schema_graph: SchemaGraph) -> Mapp
 
         entries.append(
             DatasetMapping(
-                dataset_id,
-                entity_type,
-                raw["id_column"],
-                tuple(data_maps),
-                tuple(link_maps),
-                policy,
+                dataset_id, entity_type, id_column, tuple(data_maps), tuple(link_maps), policy
             )
         )
 
     if not entries:
         raise FormatError("mapping spec: datasets list is empty")
 
-    spec = MappingSpec(tuple(entries))
-    for entry in spec.datasets:
+    types = {entry.id: entry.entity_type for entry in entries}
+    for entry in entries:
         for link_map in entry.link_maps:
-            target = spec.dataset(link_map.target)  # raises on unknown dataset
-            prop = etg.effective_object_properties(entry.entity_type)[link_map.property]
-            if not etg.descends_from(target.entity_type, prop.range):
+            if link_map.target not in types:
                 raise FormatError(
                     f"dataset {entry.id}: link {link_map.property!r} targets"
-                    f" {target.entity_type!r}, outside range {prop.range!r}"
+                    f" unknown dataset {link_map.target!r}"
                 )
-    return spec
+            prop = etg.effective_object_properties(entry.entity_type)[link_map.property]
+            if not etg.descends_from(types[link_map.target], prop.range):
+                raise FormatError(
+                    f"dataset {entry.id}: link {link_map.property!r} targets"
+                    f" {types[link_map.target]!r}, outside range {prop.range!r}"
+                )
+    return MappingSpec(tuple(entries))
 
 
 def _check_repeat(
@@ -339,14 +314,20 @@ def read_table(text: str, fmt: str) -> list[dict[str, str]]:
     """Read a raw table from CSV (RFC 4180, header row) or a JSON array."""
     if fmt == "csv":
         reader = csv.DictReader(io.StringIO(text))
+        try:
+            rows = [dict(row) for row in reader]
+        except csv.Error as exc:
+            raise FormatError(f"CSV table: {exc}") from None
         if reader.fieldnames is None:
-            raise ValueError("CSV table has no header row")
-        return [dict(row) for row in reader]
+            raise FormatError("CSV table has no header row")
+        return rows
     if fmt == "json":
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise FormatError("JSON table must be an array of flat objects")
-        return [{str(k): str(v) for k, v in row.items()} for row in data]
+        rows = parse_json(text, "JSON table")
+        check(rows, "objects", "JSON table")
+        for number, row in enumerate(rows, start=1):
+            if not all(type(value) is str for value in row.values()):
+                raise FormatError(f"JSON table row {number}: every value must be a string")
+        return rows
     raise ValueError(f"unknown table format {fmt!r}")
 
 

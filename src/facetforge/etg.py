@@ -18,6 +18,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .core import (
+    Fields,
     Finding,
     FormatError,
     Identifier,
@@ -26,6 +27,7 @@ from .core import (
     finding,
     format_timestamp,
     has_errors,
+    parse_json,
     parse_timestamp,
     sort_findings,
     validate_identifier,
@@ -173,55 +175,35 @@ def _by_domain(properties: Sequence) -> dict[str, list]:
 # Loading and serialization
 
 
-_ETG_KEYS = {"id", "types", "data_properties", "object_properties", "provenance"}
-_TYPE_KEYS = {"id", "label", "parent", "differentiating"}
-_DATA_KEYS = {"name", "domain", "datatype", "identifying"}
-_OBJECT_KEYS = {"name", "domain", "range"}
-_PROVENANCE_KEYS = {"source_id", "timestamp"}
+_ETG = Fields(
+    ("id", "identifier"), ("types", "objects", ()), ("data_properties", "objects", ()),
+    ("object_properties", "objects", ()), ("provenance", "object", None),
+)
+_TYPE = Fields(
+    ("id", "identifier"), ("label", "label"), ("parent", "string", None),
+    ("differentiating", "strings", ()),
+)
+_DATA = Fields(
+    ("name", "identifier"), ("domain", "string"), ("datatype", "string"),
+    ("identifying", "bool", False),
+)
+_OBJECT = Fields(("name", "identifier"), ("domain", "string"), ("range", "string"))
+_PROVENANCE = Fields(("source_id", "identifier"), ("timestamp", "string"))
 
 
 def load_etg(document: str | bytes) -> EntityTypeGraph:
     """Load an ETG from its JSON file format and resolve all references."""
-    try:
-        return _load_etg(document)
-    except KeyError as exc:
-        raise FormatError(f"ETG: missing key {exc}") from None
-    except TypeError as exc:
-        raise FormatError(f"ETG: malformed document ({exc})") from None
-
-
-def _load_etg(document: str | bytes) -> EntityTypeGraph:
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"ETG: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(data, dict):
-        raise FormatError("ETG: top level must be a JSON object")
-    unknown = sorted(set(data) - _ETG_KEYS)
-    if unknown:
-        raise FormatError(f"ETG: unknown keys {unknown}")
-    if "id" not in data:
-        raise FormatError("ETG: missing key 'id'")
-
-    etg_id = validate_identifier(data["id"]).value
+    etg_id, types_raw, data_raw, objects_raw, provenance_raw = _ETG.read(
+        parse_json(document, "ETG"), "ETG"
+    )
     types: list[EntityType] = []
     seen: set[str] = set()
-    for raw in data.get("types", []):
-        bad = sorted(set(raw) - _TYPE_KEYS)
-        if bad:
-            raise FormatError(f"ETG type: unknown keys {bad}")
-        entity_type = EntityType(
-            id=validate_identifier(raw["id"]).value,
-            label=Label(raw["label"]),
-            parent=raw.get("parent"),
-            differentiating=tuple(raw.get("differentiating", [])),
-        )
-        if entity_type.id in seen:
-            raise FormatError(f"ETG: duplicate type id {entity_type.id!r}")
-        seen.add(entity_type.id)
-        types.append(entity_type)
+    for raw in types_raw:
+        type_id, label, parent, differentiating = _TYPE.read(raw, "ETG type")
+        if type_id in seen:
+            raise FormatError(f"ETG: duplicate type id {type_id!r}")
+        seen.add(type_id)
+        types.append(EntityType(type_id, Label(label), parent, tuple(differentiating)))
     for entity_type in types:
         if entity_type.parent is not None and entity_type.parent not in seen:
             raise FormatError(
@@ -229,34 +211,21 @@ def _load_etg(document: str | bytes) -> EntityTypeGraph:
             )
 
     data_properties: list[DataProperty] = []
-    for raw in data.get("data_properties", []):
-        bad = sorted(set(raw) - _DATA_KEYS)
-        if bad:
-            raise FormatError(f"ETG data property: unknown keys {bad}")
-        if raw["name"] == "type":
+    for raw in data_raw:
+        name, domain, datatype, identifying = _DATA.read(raw, "ETG data property")
+        if name == "type":
             raise FormatError("ETG: property name 'type' is reserved")
-        prop = DataProperty(
-            name=validate_identifier(raw["name"]).value,
-            domain=raw["domain"],
-            datatype=raw["datatype"],
-            identifying=bool(raw.get("identifying", False)),
-        )
-        if prop.domain not in seen:
-            raise FormatError(f"ETG: data property {prop.name} domain {prop.domain!r} undefined")
-        data_properties.append(prop)
+        if datatype not in DATA_DATATYPES:
+            raise FormatError(f"ETG: data property {name} has bad datatype {datatype!r}")
+        if domain not in seen:
+            raise FormatError(f"ETG: data property {name} domain {domain!r} undefined")
+        data_properties.append(DataProperty(name, domain, datatype, identifying))
 
     object_properties: list[ObjectProperty] = []
-    for raw in data.get("object_properties", []):
-        bad = sorted(set(raw) - _OBJECT_KEYS)
-        if bad:
-            raise FormatError(f"ETG object property: unknown keys {bad}")
-        if raw["name"] == "type":
+    for raw in objects_raw:
+        prop = ObjectProperty(*_OBJECT.read(raw, "ETG object property"))
+        if prop.name == "type":
             raise FormatError("ETG: property name 'type' is reserved")
-        prop = ObjectProperty(
-            name=validate_identifier(raw["name"]).value,
-            domain=raw["domain"],
-            range=raw["range"],
-        )
         for endpoint, kind in ((prop.domain, "domain"), (prop.range, "range")):
             if endpoint not in seen:
                 raise FormatError(
@@ -273,14 +242,13 @@ def _load_etg(document: str | bytes) -> EntityTypeGraph:
         declared.add((domain, name))
 
     provenance = Provenance(Identifier(etg_id), EPOCH)
-    if "provenance" in data:
-        raw = data["provenance"]
-        bad = sorted(set(raw) - _PROVENANCE_KEYS)
-        if bad:
-            raise FormatError(f"ETG provenance: unknown keys {bad}")
-        provenance = Provenance(
-            Identifier(raw["source_id"]), parse_timestamp(raw["timestamp"])
-        )
+    if provenance_raw is not None:
+        source_id, timestamp = _PROVENANCE.read(provenance_raw, "ETG provenance")
+        try:
+            at = parse_timestamp(timestamp)
+        except ValueError as exc:
+            raise FormatError(f"ETG provenance: {exc}") from None
+        provenance = Provenance(Identifier(source_id), at)
 
     etg = EntityTypeGraph(
         etg_id, tuple(types), tuple(data_properties), tuple(object_properties), provenance
@@ -294,7 +262,10 @@ def _check_tree(etg: EntityTypeGraph) -> None:
     if etg.types and len(roots) != 1:
         raise FormatError(f"ETG {etg.id}: expected exactly one root, found {sorted(roots)}")
     for entity_type in etg.types:
-        etg.chain(entity_type.id)  # raises on cycles
+        try:
+            etg.chain(entity_type.id)
+        except ValueError as exc:  # a parent cycle
+            raise FormatError(str(exc)) from None
 
 
 def etg_to_json(etg: EntityTypeGraph) -> str:
@@ -525,21 +496,27 @@ class EtgRepository:
         return self.root / entry.etg_id / f"{entry.version}.etg.json"
 
 
+_REPOSITORY = Fields(("entries", "objects", ()))
+_ENTRY = Fields(
+    ("id", "identifier"), ("version", "identifier"), ("tags", "strings"), ("lint_status", "string")
+)
+
+
 def open_repository(root: str | Path) -> EtgRepository:
     """Open (or initialize) an ETG repository rooted at *root*."""
     root = Path(root)
     catalogue = root / "catalogue.json"
     if not catalogue.exists():
         return EtgRepository(root)
-    try:
-        data = json.loads(catalogue.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"repository catalogue: parse error: {exc.msg}") from None
-    entries = tuple(
-        RepoEntry(raw["id"], raw["version"], tuple(raw["tags"]), raw["lint_status"])
-        for raw in data.get("entries", [])
+    what = "repository catalogue"
+    (entries_raw,) = _REPOSITORY.read(
+        parse_json(catalogue.read_text(encoding="utf-8"), what), what
     )
-    repo = EtgRepository(root, entries)
+    entries = []
+    for raw in entries_raw:
+        etg_id, version, tags, lint_status = _ENTRY.read(raw, f"{what} entry")
+        entries.append(RepoEntry(etg_id, version, tuple(tags), lint_status))
+    repo = EtgRepository(root, tuple(entries))
     for entry in entries:
         if not repo.entry_path(entry).exists():
             raise FormatError(

@@ -10,9 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from functools import partial
 
-from .core import FormatError, Iri, parse_timestamp, format_timestamp
+from .core import Fields, FormatError, Iri, format_timestamp, parse_json, parse_timestamp
 from .eg import (
+    LITERAL_DATATYPES,
     EntityGraph,
     Literal,
     Triple,
@@ -178,80 +180,83 @@ def export_jsongraph(eg: EntityGraph) -> bytes:
     return json.dumps(payload, ensure_ascii=True, separators=(",", ":")).encode() + b"\n"
 
 
-def _text(raw: dict, key: str, where: str) -> str:
-    value = raw[key]
-    if not isinstance(value, str):
-        raise FormatError(f"entity graph: {where}: {key!r} must be a string")
-    return value
+_GRAPH = Fields(("metadata", "object"), ("entities", "objects"), ("links", "objects"))
+_METADATA = Fields(
+    ("iri", "string"), ("timestamp", "string"), ("sources", "strings"), ("counts", "object", None)
+)
+_COUNTS = Fields(("entities", "int"), ("triples", "int"))
+_ENTITY = Fields(("iri", "string"), ("type", "string"), ("values", "objects"))
+_VALUE = Fields(("property", "string"), ("datatype", "string"), ("value", "string"))
+_LINK = Fields(("subject", "string"), ("property", "string"), ("object", "string"))
 
 
 def load_entity_graph_json(data: bytes | str) -> EntityGraph:
     """Rebuild an entity graph from :func:`export_jsongraph` output.
 
     Raises :class:`FormatError` on a malformed document, including a missing
-    key, a term or ``sources`` item that is not a string, an IRI under an
-    entity's ``values`` (it belongs under ``links``) and an entity listed
-    twice.
+    or unknown key, a term or ``sources`` item that is not a string, an IRI
+    under an entity's ``values`` (it belongs under ``links``) and an entity
+    listed twice.  ``counts`` is derived on export and not read back.
     """
+    metadata, entities, links = _GRAPH.read(parse_json(data, "entity graph"), "entity graph")
+    iri, stamp, sources, counts = _METADATA.read(metadata, "entity graph: metadata")
+    if counts is not None:
+        _COUNTS.read(counts, "entity graph: counts")
     try:
-        payload = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"entity graph: parse error: {exc.msg}") from None
-    try:
-        return _load_entity_graph(payload)
-    except FormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"entity graph: malformed document ({exc})") from None
-
-
-def _load_entity_graph(payload) -> EntityGraph:
-    metadata = payload["metadata"]
-    eg_iri = Iri(_text(metadata, "iri", "metadata"))
-    timestamp = parse_timestamp(_text(metadata, "timestamp", "metadata"))
-    sources = metadata["sources"]
-    if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
-        raise FormatError("entity graph: metadata: 'sources' must be a list of strings")
-    base = derive_base(eg_iri)
+        eg_iri = Iri(iri)
+        timestamp = parse_timestamp(stamp)
+        base = derive_base(eg_iri)
+    except ValueError as exc:
+        raise FormatError(f"entity graph: metadata: {exc}") from None
     predicate_type = type_predicate(base)
 
-    predicates: dict[str, Iri] = {}
+    # Each distinct IRI, type name and property name is checked and built once.
+    iris: dict[str, Iri] = {}
     type_terms: dict[str, Iri] = {}
+    predicates: dict[str, Iri] = {}
 
-    def predicate(raw: dict, where: str) -> Iri:
-        name = _text(raw, "property", where)
-        if name not in predicates:
-            predicates[name] = property_predicate(base, name)
-        return predicates[name]
+    def term(cache: dict[str, Iri], make, text: str, where: str) -> Iri:
+        found = cache.get(text)
+        if found is None:
+            try:
+                found = cache[text] = make(text)
+            except ValueError as exc:
+                raise FormatError(f"{where}: {exc}") from None
+        return found
 
+    type_term, predicate = partial(type_iri, base), partial(property_predicate, base)
     triples: list[Triple] = []
-    seen: set[str] = set()
-    for raw in payload["entities"]:
-        subject = Iri(_text(raw, "iri", "entity"))
-        where = f"entity {subject.value}"
-        if subject.value in seen:
-            raise FormatError(f"entity graph: {where} is listed more than once")
-        seen.add(subject.value)
-        type_name = _text(raw, "type", where)
-        if type_name not in type_terms:
-            type_terms[type_name] = type_iri(base, type_name)
-        triples.append(Triple(subject, predicate_type, type_terms[type_name]))
-        for value_raw in raw["values"]:
-            datatype = _text(value_raw, "datatype", where)
+    for raw in entities:
+        entity_iri, type_name, values = _ENTITY.read(raw, "entity graph: entity")
+        where = f"entity graph: entity {entity_iri}"
+        if entity_iri in iris:
+            raise FormatError(f"{where} is listed more than once")
+        subject = term(iris, Iri, entity_iri, where)
+        type_object = term(type_terms, type_term, type_name, where)
+        triples.append(Triple(subject, predicate_type, type_object))
+        for value_raw in values:
+            name, datatype, text = _VALUE.read(value_raw, where)
             if datatype == "iri":
+                raise FormatError(f"{where}: IRI values belong under 'links', not 'values'")
+            if datatype not in LITERAL_DATATYPES:
                 raise FormatError(
-                    f"entity graph: {where}: IRI values belong under 'links', not 'values'"
+                    f"{where}: literal datatype {datatype!r} is not one of {LITERAL_DATATYPES}"
                 )
-            literal = Literal(_text(value_raw, "value", where), datatype)
-            triples.append(Triple(subject, predicate(value_raw, where), literal))
-    for raw in payload["links"]:
-        subject = Iri(_text(raw, "subject", "link"))
-        where = f"link from {subject.value}"
-        object_iri = Iri(_text(raw, "object", where))
-        link_predicate = predicate(raw, where)
-        if link_predicate == predicate_type:
-            raise FormatError(f"entity graph: {where}: types belong to entities, not links")
-        triples.append(Triple(subject, link_predicate, object_iri))
+            triples.append(
+                Triple(subject, term(predicates, predicate, name, where), Literal(text, datatype))
+            )
+    for raw in links:
+        subject, name, object_iri = _LINK.read(raw, "entity graph: link")
+        where = f"entity graph: link from {subject}"
+        if name == "type":
+            raise FormatError(f"{where}: types belong to entities, not links")
+        triples.append(
+            Triple(
+                term(iris, Iri, subject, where),
+                term(predicates, predicate, name, where),
+                term(iris, Iri, object_iri, where),
+            )
+        )
 
     return EntityGraph(
         iri=eg_iri,

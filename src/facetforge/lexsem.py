@@ -7,11 +7,10 @@ set it apart from its genus.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .core import FormatError, validate_identifier
+from .core import Fields, FormatError, parse_json
 
 __all__ = [
     "CatalogueEntry",
@@ -88,64 +87,46 @@ class LexicalSemanticResource:
         return roots[0]
 
 
-_RESOURCE_KEYS = {"id", "languages", "catalogue"}
-_LANGUAGE_KEYS = {"synsets"}
-_SYNSET_KEYS = {"id", "lemmas", "gloss", "genus", "differentia"}
-_CATALOGUE_KEYS = {"language", "domain", "root"}
+_RESOURCE = Fields(("id", "identifier"), ("languages", "object", {}), ("catalogue", "objects", ()))
+_LANGUAGE = Fields(("synsets", "objects", ()))
+_SYNSET = Fields(
+    ("id", "identifier"), ("lemmas", "strings"), ("gloss", "string", ""), ("genus", "string", None),
+    ("differentia", "strings", ()),
+)
+_CATALOGUE = Fields(("language", "string"), ("domain", "string"), ("root", "string"))
 
 
 def load_lexsem(document: str | bytes) -> LexicalSemanticResource:
     """Load a lexical-semantic resource, verifying acyclicity per language."""
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"lexsem: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(data, dict):
-        raise FormatError("lexsem: top level must be a JSON object")
-    unknown = sorted(set(data) - _RESOURCE_KEYS)
-    if unknown:
-        raise FormatError(f"lexsem: unknown keys {unknown}")
-    if "id" not in data:
-        raise FormatError("lexsem: missing key 'id'")
-
-    resource_id = validate_identifier(data["id"]).value
+    resource_id, languages, catalogue_raw = _RESOURCE.read(
+        parse_json(document, "lexsem"), "lexsem"
+    )
     hierarchies: dict[str, dict[str, Synset]] = {}
-    for tag, language_raw in data.get("languages", {}).items():
-        bad = sorted(set(language_raw) - _LANGUAGE_KEYS)
-        if bad:
-            raise FormatError(f"language {tag}: unknown keys {bad}")
+    for tag, language_raw in languages.items():
+        where = f"language {tag}"
+        (synsets_raw,) = _LANGUAGE.read(language_raw, where)
+        synset_where = f"{where} synset"
         synsets: dict[str, Synset] = {}
-        for raw in language_raw.get("synsets", []):
-            bad = sorted(set(raw) - _SYNSET_KEYS)
-            if bad:
-                raise FormatError(f"language {tag}: unknown synset keys {bad}")
-            synset = Synset(
-                id=validate_identifier(raw["id"]).value,
-                language=tag,
-                lemmas=tuple(raw["lemmas"]),
-                gloss=raw.get("gloss", ""),
-                genus=raw.get("genus"),
-                differentia=tuple(raw.get("differentia", [])),
-            )
-            if synset.id in synsets:
-                raise FormatError(f"language {tag}: duplicate synset id {synset.id!r}")
-            for lemma in synset.lemmas:
+        for raw in synsets_raw:
+            synset_id, lemmas, gloss, genus, differentia = _SYNSET.read(raw, synset_where)
+            if not lemmas:
+                raise FormatError(f"{where}: synset {synset_id} has no lemmas")
+            if synset_id in synsets:
+                raise FormatError(f"{where}: duplicate synset id {synset_id!r}")
+            for lemma in lemmas:
                 if lemma != lemma.lower():
                     raise FormatError(
-                        f"language {tag}: lemma {lemma!r} of {synset.id} is not lowercase"
+                        f"{where}: lemma {lemma!r} of {synset_id} is not lowercase"
                     )
-            synsets[synset.id] = synset
+            synsets[synset_id] = Synset(
+                synset_id, tag, tuple(lemmas), gloss, genus, tuple(differentia)
+            )
         _check_hierarchy(tag, synsets)
         hierarchies[tag] = synsets
 
     catalogue: list[CatalogueEntry] = []
-    for raw in data.get("catalogue", []):
-        bad = sorted(set(raw) - _CATALOGUE_KEYS)
-        if bad:
-            raise FormatError(f"catalogue: unknown keys {bad}")
-        entry = CatalogueEntry(raw["language"], raw["domain"], raw["root"])
+    for raw in catalogue_raw:
+        entry = CatalogueEntry(*_CATALOGUE.read(raw, "catalogue"))
         if entry.language not in hierarchies:
             raise FormatError(f"catalogue references unknown language {entry.language!r}")
         if entry.root not in hierarchies[entry.language]:

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .core import Finding, FormatError, finding, sort_findings, validate_identifier
+from .core import Fields, Finding, FormatError, finding, parse_json, sort_findings
 from .lexsem import LexicalSemanticResource, hypernym_path, resolve_sense
 
 __all__ = [
@@ -96,54 +96,36 @@ class LightweightOntology:
 # Dataset schemas
 
 
-_SCHEMA_KEYS = {"classes"}
-_CLASS_KEYS = {"name", "attributes"}
-_ATTRIBUTE_KEYS = {"name", "datatype", "target"}
+_SCHEMA = Fields(("classes", "objects", ()))
+_CLASS = Fields(("name", "identifier"), ("attributes", "objects", ()))
+_ATTRIBUTE = Fields(("name", "string"), ("datatype", "string"), ("target", "string", None))
 
 
 def load_dataset_schema(document: str | bytes) -> DatasetSchema:
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"dataset schema: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(data, dict):
-        raise FormatError("dataset schema: top level must be a JSON object")
-    unknown = sorted(set(data) - _SCHEMA_KEYS)
-    if unknown:
-        raise FormatError(f"dataset schema: unknown keys {unknown}")
-
+    (classes_raw,) = _SCHEMA.read(parse_json(document, "dataset schema"), "dataset schema")
     classes: list[SchemaClass] = []
     names: set[str] = set()
-    for raw in data.get("classes", []):
-        bad = sorted(set(raw) - _CLASS_KEYS)
-        if bad:
-            raise FormatError(f"dataset schema: unknown class keys {bad}")
-        name = validate_identifier(raw["name"]).value
+    for raw in classes_raw:
+        name, attributes_raw = _CLASS.read(raw, "dataset schema class")
         if name in names:
             raise FormatError(f"dataset schema: duplicate class {name!r}")
         names.add(name)
+        where = f"class {name}"
         attributes: list[SchemaAttribute] = []
         attr_names: set[str] = set()
-        for attr_raw in raw.get("attributes", []):
-            bad = sorted(set(attr_raw) - _ATTRIBUTE_KEYS)
-            if bad:
-                raise FormatError(f"class {name}: unknown attribute keys {bad}")
-            attribute = SchemaAttribute(
-                attr_raw["name"], attr_raw["datatype"], attr_raw.get("target")
-            )
+        for attr_raw in attributes_raw:
+            attribute = SchemaAttribute(*_ATTRIBUTE.read(attr_raw, f"{where} attribute"))
             if attribute.datatype not in DATATYPES:
                 raise FormatError(
-                    f"class {name}: attribute {attribute.name!r} has unknown"
+                    f"{where}: attribute {attribute.name!r} has unknown"
                     f" datatype {attribute.datatype!r}"
                 )
             if attribute.name in attr_names:
-                raise FormatError(f"class {name}: duplicate attribute {attribute.name!r}")
+                raise FormatError(f"{where}: duplicate attribute {attribute.name!r}")
             attr_names.add(attribute.name)
             if (attribute.datatype == "reference") != (attribute.target is not None):
                 raise FormatError(
-                    f"class {name}: attribute {attribute.name!r} target must be"
+                    f"{where}: attribute {attribute.name!r} target must be"
                     " given exactly for reference attributes"
                 )
             attributes.append(attribute)
@@ -263,25 +245,25 @@ def validate_backbone(ontology: LightweightOntology) -> list[Finding]:
             findings.append(
                 finding("LO3", f"nodes/{node.id}", f"dangling parent {node.parent!r}")
             )
-    reported_cycles: set[frozenset[str]] = set()
+    # Each walk up the parent chain stops at a node an earlier walk passed,
+    # so every node is walked once; a cycle shows as a node met twice in one
+    # walk, and only the first walk to enter a cycle meets it.
+    walked: set[str] = set()
     for node in nodes.values():
-        seen: list[str] = []
+        position: dict[str, int] = {}
         current: str | None = node.id
-        while current is not None and current in nodes:
-            if current in seen:
-                members = frozenset(seen[seen.index(current):])
-                if members not in reported_cycles:
-                    reported_cycles.add(members)
-                    findings.append(
-                        finding(
-                            "LO3",
-                            f"nodes/{min(members)}",
-                            f"parent cycle {{{', '.join(sorted(members))}}}",
-                        )
+        while current is not None and current in nodes and current not in walked:
+            if current in position:
+                members = sorted(list(position)[position[current]:])
+                findings.append(
+                    finding(
+                        "LO3", f"nodes/{members[0]}", f"parent cycle {{{', '.join(members)}}}"
                     )
+                )
                 break
-            seen.append(current)
+            position[current] = len(position)
             current = nodes[current].parent
+        walked.update(position)
 
     by_parent: dict[str | None, list[OntologyNode]] = {}
     for node in nodes.values():
@@ -348,113 +330,26 @@ def canonical_json(ontology: LightweightOntology) -> bytes:
     return "".join(parts).encode()
 
 
-_SPACE_RE = re.compile(r"[ \t\n\r]*")
-_scan_scalar = json.JSONDecoder().scan_once
-
-
-def _load_deep_json(document: str | bytes) -> object:
-    """``json.loads`` for documents nested deeper than its recursion limit.
-
-    Open arrays and objects wait on an explicit stack, each with the key its
-    next value goes under; ``json``'s own scanner reads the scalars.
-    """
-    text = document
-    if isinstance(text, bytes):
-        text = text.decode(json.detect_encoding(text), "surrogatepass")
-
-    def fail(message: str) -> FormatError:
-        return FormatError(f"ontology: parse error: {message}")
-
-    def skip(position: int) -> int:
-        return _SPACE_RE.match(text, position).end()
-
-    def key_at(position: int) -> tuple[str, int]:
-        if text[position:position + 1] != '"':
-            raise fail("Expecting property name enclosed in double quotes")
-        key, position = json.decoder.scanstring(text, position + 1)
-        position = skip(position)
-        if text[position:position + 1] != ":":
-            raise fail("Expecting ':' delimiter")
-        return key, skip(position + 1)
-
-    pending: list[tuple[list | dict, str | None]] = []
-    position = skip(0)
-    try:
-        while True:
-            char = text[position:position + 1]
-            if char in ("[", "{"):
-                position = skip(position + 1)
-                if text[position:position + 1] == ("]" if char == "[" else "}"):
-                    value, position = ([] if char == "[" else {}), position + 1
-                elif char == "[":
-                    pending.append(([], None))
-                    continue
-                else:
-                    key, position = key_at(position)
-                    pending.append(({}, key))
-                    continue
-            else:
-                try:
-                    value, position = _scan_scalar(text, position)
-                except StopIteration:
-                    raise fail("Expecting value") from None
-            # Hand the finished value to the containers it closes.
-            while True:
-                position = skip(position)
-                if not pending:
-                    if position != len(text):
-                        raise fail("Extra data")
-                    return value
-                container, key = pending[-1]
-                if isinstance(container, list):
-                    container.append(value)
-                else:
-                    container[key] = value
-                char, position = text[position:position + 1], position + 1
-                if char == ",":
-                    position = skip(position)
-                    if isinstance(container, dict):
-                        key, position = key_at(position)
-                        pending[-1] = (container, key)
-                    break
-                if char != ("]" if isinstance(container, list) else "}"):
-                    raise fail("Expecting ',' delimiter")
-                value = pending.pop()[0]
-    except json.JSONDecodeError as exc:
-        raise fail(exc.msg) from None
+_NODE = Fields(
+    ("id", "string"), ("label", "string"), ("synset", "string", None), ("class", "string", None),
+    ("children", "objects", ()),
+)
 
 
 def load_ontology_json(document: str | bytes) -> LightweightOntology:
     """Parse the canonical serialization back into an ontology.
 
-    ``json.loads`` reads ordinary documents far faster than the stack-based
-    reader, which takes over only past ``json``'s recursion limit.
+    The tree is read from an explicit stack, so a chain of any depth loads.
     """
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"ontology: parse error: {exc.msg}") from None
-    except RecursionError:
-        data = _load_deep_json(document)
-    if not isinstance(data, dict):
-        raise FormatError("ontology: top level must be a JSON object")
-
+    data = parse_json(document, "ontology")
     nodes: dict[str, OntologyNode] = {}
-    stack: list[tuple[dict, str | None]] = [(data, None)]
+    stack: list[tuple[object, str | None]] = [(data, None)]
     while stack:
         raw, parent = stack.pop()
-        try:
-            node = OntologyNode(
-                id=raw["id"],
-                label=raw["label"],
-                synset_id=raw.get("synset"),
-                schema_class=raw.get("class"),
-                parent=parent,
-            )
-        except KeyError as exc:
-            raise FormatError(f"ontology: node missing key {exc}") from None
-        if node.id in nodes:
-            raise FormatError(f"ontology: duplicate node id {node.id!r}")
-        nodes[node.id] = node
-        stack.extend((child, node.id) for child in reversed(list(raw.get("children", []))))
+        where = "ontology" if parent is None else f"ontology: child of {parent!r}"
+        node_id, label, synset_id, schema_class, children = _NODE.read(raw, where)
+        if node_id in nodes:
+            raise FormatError(f"ontology: duplicate node id {node_id!r}")
+        nodes[node_id] = OntologyNode(node_id, label, synset_id, schema_class, parent)
+        stack.extend((child, node_id) for child in reversed(children))
     return LightweightOntology(data["id"], nodes)

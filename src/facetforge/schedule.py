@@ -8,19 +8,11 @@ conservative formalization so that findings are stable test targets.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .core import (
-    Finding,
-    FormatError,
-    Label,
-    finding,
-    sort_findings,
-    validate_identifier,
-)
+from .core import Fields, Finding, FormatError, Label, finding, parse_json, sort_findings
 
 __all__ = [
     "INDICATORS",
@@ -191,38 +183,24 @@ def concept_path(category: FacetCategory, concept: Concept) -> str:
 # Loading
 
 
-_SCHEDULE_KEYS = {"id", "base", "succession", "stoplist", "categories"}
-_BASE_KEYS = {"id", "notation", "label"}
-_CATEGORY_KEYS = {"code", "indicator", "characteristic", "concepts"}
-_CONCEPT_KEYS = {"id", "notation", "label", "value", "parent", "sought", "residual", "ordinal"}
-
-
-def _parse_json(document: str | bytes, what: str) -> dict:
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"{what}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(data, dict):
-        raise FormatError(f"{what}: top level must be a JSON object")
-    return data
-
-
-def _check_keys(obj: Mapping, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise FormatError(f"{where}: unknown keys {unknown}")
-
-
-def _require(obj: Mapping, key: str, where: str):
-    if key not in obj:
-        raise FormatError(f"{where}: missing key {key!r}")
-    return obj[key]
+_SCHEDULE = Fields(
+    ("id", "identifier"), ("base", "object"), ("succession", "strings"),
+    ("stoplist", "strings", ()), ("categories", "objects", ()),
+)
+_BASE = Fields(("id", "identifier"), ("notation", "string"), ("label", "label"))
+_CATEGORY = Fields(
+    ("code", "string"), ("indicator", "string"), ("characteristic", "string"),
+    ("concepts", "objects", ()),
+)
+_CONCEPT = Fields(
+    ("id", "identifier"), ("notation", "string"), ("label", "label"), ("value", "string"),
+    ("parent", "string", None), ("sought", "bool", True), ("residual", "bool", False),
+    ("ordinal", "int"),
+)
 
 
 def _check_notation(notation: str, where: str) -> None:
-    if not isinstance(notation, str) or not notation:
+    if not notation:
         raise FormatError(f"{where}: notation must be non-empty text")
     for char in notation:
         if char.isspace() or char in INDICATORS:
@@ -231,34 +209,24 @@ def _check_notation(notation: str, where: str) -> None:
 
 def load_schedule(document: str | bytes) -> ClassificationSchedule:
     """Load and fully resolve a schedule from its JSON file format."""
-    data = _parse_json(document, "schedule")
-    _check_keys(data, _SCHEDULE_KEYS, "schedule")
-
-    schedule_id = validate_identifier(_require(data, "id", "schedule")).value
-    base_raw = _require(data, "base", "schedule")
-    _check_keys(base_raw, _BASE_KEYS, "schedule base")
-    base = Concept(
-        id=validate_identifier(_require(base_raw, "id", "base")).value,
-        notation=_require(base_raw, "notation", "base"),
-        label=Label(_require(base_raw, "label", "base")),
+    schedule_id, base_raw, succession, stoplist, categories_raw = _SCHEDULE.read(
+        parse_json(document, "schedule"), "schedule"
     )
-    _check_notation(base.notation, "base")
+    base_id, base_notation, base_label = _BASE.read(base_raw, "schedule base")
+    _check_notation(base_notation, "base")
+    base = Concept(id=base_id, notation=base_notation, label=Label(base_label))
 
-    succession = tuple(_require(data, "succession", "schedule"))
+    succession = tuple(succession)
     if len(set(succession)) != len(succession):
         raise FormatError("schedule: duplicate characteristic in succession")
-    stoplist = tuple(str(word).lower() for word in data.get("stoplist", []))
 
     categories: list[FacetCategory] = []
     seen_ids = {base.id}
     seen_codes: set[str] = set()
     seen_indicators: set[str] = set()
-    for cat_raw in data.get("categories", []):
-        _check_keys(cat_raw, _CATEGORY_KEYS, "category")
-        code = _require(cat_raw, "code", "category")
+    for cat_raw in categories_raw:
+        code, indicator, characteristic, concepts_raw = _CATEGORY.read(cat_raw, "category")
         where = f"category {code}"
-        indicator = _require(cat_raw, "indicator", where)
-        characteristic = _require(cat_raw, "characteristic", where)
         if code in seen_codes:
             raise FormatError(f"{where}: duplicate category code")
         if indicator in seen_indicators:
@@ -270,34 +238,34 @@ def load_schedule(document: str | bytes) -> ClassificationSchedule:
 
         concepts: list[Concept] = []
         local_ids: set[str] = set()
-        for concept_raw in cat_raw.get("concepts", []):
-            _check_keys(concept_raw, _CONCEPT_KEYS, where)
-            concept_id = validate_identifier(_require(concept_raw, "id", where)).value
+        for concept_raw in concepts_raw:
+            concept_id, notation, label, value, parent, sought, residual, ordinal = (
+                _CONCEPT.read(concept_raw, where)
+            )
             if concept_id in seen_ids:
                 raise FormatError(f"{where}: duplicate concept id {concept_id!r}")
             seen_ids.add(concept_id)
             local_ids.add(concept_id)
-            notation = _require(concept_raw, "notation", f"{where}/{concept_id}")
             _check_notation(notation, f"{where}/{concept_id}")
             concepts.append(
                 Concept(
                     id=concept_id,
                     notation=notation,
-                    label=Label(_require(concept_raw, "label", f"{where}/{concept_id}")),
-                    characteristic_value=(
-                        characteristic,
-                        _require(concept_raw, "value", f"{where}/{concept_id}"),
-                    ),
-                    parent=concept_raw.get("parent"),
-                    sought=bool(concept_raw.get("sought", True)),
-                    residual=bool(concept_raw.get("residual", False)),
-                    ordinal=int(_require(concept_raw, "ordinal", f"{where}/{concept_id}")),
+                    label=Label(label),
+                    characteristic_value=(characteristic, value),
+                    parent=parent,
+                    sought=sought,
+                    residual=residual,
+                    ordinal=ordinal,
                 )
             )
         for concept in concepts:
             if concept.parent is not None and concept.parent not in local_ids:
                 raise FormatError(f"{where}: dangling reference {concept.parent!r}")
-        category = FacetCategory(code, indicator, characteristic, tuple(concepts))
+        try:
+            category = FacetCategory(code, indicator, characteristic, tuple(concepts))
+        except ValueError as exc:  # a bad code or indicator
+            raise FormatError(str(exc)) from None
         _check_category_shape(category)
         categories.append(category)
 
@@ -306,7 +274,7 @@ def load_schedule(document: str | bytes) -> ClassificationSchedule:
         base=base,
         succession=succession,
         categories=tuple(categories),
-        reticence_stoplist=stoplist,
+        reticence_stoplist=tuple(word.lower() for word in stoplist),
     )
 
 
@@ -317,7 +285,10 @@ def _check_category_shape(category: FacetCategory) -> None:
     only under that restriction, and class-number parsing relies on it.
     """
     for concept in category.concepts:
-        _path_to_root(category, concept)  # raises on cycles
+        try:
+            _path_to_root(category, concept)
+        except ValueError as exc:  # a parent cycle
+            raise FormatError(str(exc)) from None
     _check_siblings(category, category.roots())
     for concept in category.concepts:
         kids = category._children.get(concept.id)

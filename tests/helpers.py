@@ -6,7 +6,7 @@ import itertools
 import random
 from datetime import datetime, timezone
 
-from facetforge.core import Iri, Label, parse_timestamp
+from facetforge.core import Finding, Iri, Label, finding, parse_timestamp, sort_findings
 from facetforge.eg import EntityGraph, Literal, Triple
 from facetforge.etg import DataProperty, EntityType, EntityTypeGraph, ObjectProperty
 from facetforge.facet import FacetFormula, FormulaSlot
@@ -429,6 +429,63 @@ def random_ontology(rng: random.Random) -> LightweightOntology:
 def scan_ontology_children(ontology: LightweightOntology, node_id: str) -> list[OntologyNode]:
     kids = [n for n in ontology.nodes.values() if n.parent == node_id]
     return sorted(kids, key=lambda n: (n.label, n.id))
+
+
+def scan_validate_backbone(ontology: LightweightOntology) -> list[Finding]:
+    """``validate_backbone`` as it walked each parent chain with a list (quadratic)."""
+    findings: list[Finding] = []
+    nodes = ontology.nodes
+
+    roots = [n.id for n in nodes.values() if n.parent is None]
+    if len(roots) != 1:
+        findings.append(
+            finding("LO2", "nodes", f"expected exactly one root, found {sorted(roots)}")
+        )
+
+    for node in nodes.values():
+        if node.parent is not None and node.parent not in nodes:
+            findings.append(
+                finding("LO3", f"nodes/{node.id}", f"dangling parent {node.parent!r}")
+            )
+    reported_cycles: set[frozenset[str]] = set()
+    for node in nodes.values():
+        seen: list[str] = []
+        current: str | None = node.id
+        while current is not None and current in nodes:
+            if current in seen:
+                members = frozenset(seen[seen.index(current):])
+                if members not in reported_cycles:
+                    reported_cycles.add(members)
+                    findings.append(
+                        finding(
+                            "LO3",
+                            f"nodes/{min(members)}",
+                            f"parent cycle {{{', '.join(sorted(members))}}}",
+                        )
+                    )
+                break
+            seen.append(current)
+            current = nodes[current].parent
+
+    by_parent: dict[str | None, list[OntologyNode]] = {}
+    for node in nodes.values():
+        by_parent.setdefault(node.parent, []).append(node)
+    for parent, siblings in by_parent.items():
+        labels: dict[str, str] = {}
+        for node in siblings:
+            key = node.label.strip().lower()
+            if key in labels:
+                findings.append(
+                    finding(
+                        "LO4",
+                        f"nodes/{node.id}",
+                        f"label {node.label!r} shared with sibling {labels[key]!r}",
+                    )
+                )
+            else:
+                labels[key] = node.id
+
+    return sort_findings(findings)
 
 
 def random_etg(rng: random.Random) -> EntityTypeGraph:

@@ -258,13 +258,13 @@ class TestMalformedDocuments:
         data = json.loads(fixture_text("du.etg.json"))
         del data["types"][0]["label"]
         assert main(["etg", "lint", self.write(tmp_path, "etg.json", data)]) == 2
-        assert capsys.readouterr().err == "error: ETG: missing key 'label'\n"
+        assert capsys.readouterr().err == "error: ETG type: missing key 'label'\n"
 
     def test_etg_types_not_a_list(self, tmp_path, capsys):
         data = json.loads(fixture_text("du.etg.json"))
         data["types"] = 5
         assert main(["etg", "lint", self.write(tmp_path, "etg.json", data)]) == 2
-        assert capsys.readouterr().err.startswith("error: ETG: malformed document")
+        assert capsys.readouterr().err == "error: ETG: 'types' must be a list of objects\n"
 
     def test_mapping_dataset_without_id(self, tmp_path, ontology_file, capsys):
         data = json.loads(fixture_text("du.mapping.json"))
@@ -273,7 +273,7 @@ class TestMalformedDocuments:
         args[1] = str(ontology_file)
         args[args.index("--spec") + 1] = self.write(tmp_path, "spec.json", data)
         assert main(["eg", "build", *args]) == 2
-        assert capsys.readouterr().err == "error: mapping spec: missing key 'id'\n"
+        assert capsys.readouterr().err == "error: mapping spec dataset: missing key 'id'\n"
 
     def build_with_spec(self, tmp_path, ontology_file, spec) -> int:
         args = list(EG_BUILD_ARGS)

@@ -6,6 +6,7 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, strategies as st
 
+from facetforge import core
 from facetforge.core import (
     Finding,
     Identifier,
@@ -73,6 +74,25 @@ class TestMintIri:
     def test_rejects_invalid_segment(self):
         with pytest.raises(ValueError, match="illegal"):
             mint_iri(self.BASE, ["Organization", "harper & row"])
+
+    def test_names_the_first_illegal_character(self):
+        with pytest.raises(ValueError) as caught:
+            mint_iri(self.BASE, ["Organization", "harper & row"])
+        assert str(caught.value) == (
+            "identifier 'harper & row': character ' ' illegal at index 6"
+        )
+
+    def test_matches_each_text_segment_once(self, monkeypatch):
+        pattern, matched, checked = core._IDENTIFIER_RE, [], Identifier("eg")
+
+        class Counting:
+            def match(self, text):
+                matched.append(text)
+                return pattern.match(text)
+
+        monkeypatch.setattr(core, "_IDENTIFIER_RE", Counting())
+        mint_iri(self.BASE, ["Person", checked, "schumacher-ef"])
+        assert matched == ["Person", "schumacher-ef"]
 
     def test_timestamp_segment(self):
         minted = mint_iri(self.BASE, ["eg", "2024-01-01T00-00-00Z"])

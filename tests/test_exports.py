@@ -151,6 +151,20 @@ MALFORMED = {
     "type as a link": (lambda p: p["links"][0].update(property="type"), "types belong to entities"),
     "unknown datatype": (lambda p: _first_value(p).update(datatype="float"), "literal datatype"),
     "missing links": (lambda p: p.pop("links"), "'links'"),
+    "unknown metadata key": (
+        lambda p: p["metadata"].update(extra=1), "entity graph: metadata: unknown keys ['extra']"
+    ),
+    "unknown value key": (lambda p: _first_value(p).update(lang="en"), "unknown keys ['lang']"),
+    "counts not counting": (
+        lambda p: p["metadata"]["counts"].update(triples="many"), "'triples' must be an integer"
+    ),
+    "invalid entity iri": (lambda p: p["entities"][0].update(iri="no-scheme"), "invalid IRI"),
+    "invalid property name": (
+        lambda p: p["links"][0].update(property="founded by"), "illegal at index 7"
+    ),
+    "invalid timestamp": (
+        lambda p: p["metadata"].update(timestamp="2024-01-01"), "invalid timestamp"
+    ),
 }
 
 

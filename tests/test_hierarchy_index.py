@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from facetforge.fixtures import fixture_text
 from facetforge.lexsem import resolve_sense
+from facetforge.ontology import LightweightOntology, OntologyNode, validate_backbone
 from facetforge.schedule import children, full_notation, load_schedule
 from helpers import (
     random_etg,
@@ -23,6 +25,7 @@ from helpers import (
     scan_resolve_sense,
     scan_root_of,
     scan_roots,
+    scan_validate_backbone,
 )
 
 
@@ -98,6 +101,34 @@ class TestOntologyIndex:
             ontology = random_ontology(random.Random(seed))
             for node_id in [*ontology.nodes, "absent", None]:
                 assert ontology.children(node_id) == scan_ontology_children(ontology, node_id)
+
+    def test_backbone_findings_match_chain_scan(self):
+        cycles = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            nodes = dict(random_ontology(rng).nodes)
+            ids = list(nodes)
+            # Re-point a few parents: cycles, dangling parents and extra roots.
+            for node_id in rng.sample(ids, min(len(ids), rng.randint(0, 4))):
+                parent = rng.choice([*ids, "absent", None])
+                nodes[node_id] = dataclasses.replace(nodes[node_id], parent=parent)
+            ontology = LightweightOntology(ids[0], nodes)
+            expected = scan_validate_backbone(ontology)
+            cycles += any("parent cycle" in f.message for f in expected)
+            assert validate_backbone(ontology) == expected
+        assert cycles >= 20
+
+    def test_backbone_of_a_20000_node_chain(self):
+        ids = [f"n{i}" for i in range(20000)]
+        nodes = {
+            node_id: OntologyNode(node_id, node_id, parent=ids[i - 1] if i else None)
+            for i, node_id in enumerate(ids)
+        }
+        assert validate_backbone(LightweightOntology(ids[0], nodes)) == []
+        nodes[ids[0]] = OntologyNode(ids[0], ids[0], parent=ids[-1])
+        findings = validate_backbone(LightweightOntology(ids[0], nodes))
+        assert [(f.code, f.path) for f in findings] == [("LO2", "nodes"), ("LO3", "nodes/n0")]
+        assert findings[1].message == f"parent cycle {{{', '.join(sorted(ids))}}}"
 
 
 class TestEtgIndex:

@@ -4,12 +4,11 @@ import json
 
 import pytest
 
-from facetforge.core import FormatError
+from facetforge.core import FormatError, _load_deep_json
 from facetforge.lexsem import hypernym_path
 from facetforge.ontology import (
     LightweightOntology,
     OntologyNode,
-    _load_deep_json,
     build_lightweight_ontology,
     canonical_json,
     load_dataset_schema,
@@ -270,14 +269,26 @@ def test_malformed_deep_documents_report_json_messages(inner, tail, message):
     def nest(depth):
         return '{"id":' * depth + inner + "}" * depth + tail
 
-    with pytest.raises(json.JSONDecodeError) as shallow:
-        json.loads(nest(3))
-    assert shallow.value.msg == message
+    columns = []
+    for depth in (3, 4):
+        with pytest.raises(json.JSONDecodeError) as shallow:
+            json.loads(nest(depth))
+        assert shallow.value.msg == message
+        assert shallow.value.lineno == 1
+        columns.append(shallow.value.colno)
+    # json's error column grows by the same step with each level of nesting.
+    column = columns[0] + (DEEP - 3) * (columns[1] - columns[0])
     with pytest.raises(FormatError) as deep:
         load_ontology_json(nest(DEEP))
-    assert str(deep.value) == f"ontology: parse error: {message}"
+    assert str(deep.value) == f"ontology: parse error at line 1, column {column}: {message}"
 
 
 def test_unclosed_deep_document_expects_a_value():
-    with pytest.raises(FormatError, match="^ontology: parse error: Expecting value$"):
+    with pytest.raises(json.JSONDecodeError) as shallow:
+        json.loads("[" * 3)
+    assert (shallow.value.lineno, shallow.value.colno) == (1, 4)
+    with pytest.raises(FormatError) as deep:
         load_ontology_json("[" * DEEP)
+    assert str(deep.value) == (
+        f"ontology: parse error at line 1, column {DEEP + 1}: Expecting value"
+    )

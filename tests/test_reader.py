@@ -1,0 +1,374 @@
+"""The strict JSON reader every loader shares, and the loaders' error contract.
+
+Malformed input of any kind must end in ``FormatError`` (exit status 2 from
+the command line), never in another exception.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+from hypothesis import HealthCheck, Phase, given, seed, settings, strategies as st
+
+from facetforge.catalogue import (
+    build_record,
+    load_catalogue_code,
+    load_record,
+    make_call_number,
+    record_to_json,
+)
+from facetforge.cli import main
+from facetforge.core import Fields, FormatError, parse_json
+from facetforge.eg import load_mapping_spec, read_table
+from facetforge.etg import load_etg, open_repository
+from facetforge.exports import export_jsongraph, load_entity_graph_json
+from facetforge.facet import SubjectHeading
+from facetforge.fixtures import fixture_path, fixture_text
+from facetforge.lexsem import load_lexsem
+from facetforge.ontology import canonical_json, load_dataset_schema, load_ontology_json
+from facetforge.schedule import load_schedule
+
+DEEP = 10**5
+DEEP_ARRAY = "[" * DEEP + "]" * DEEP
+
+
+def fx(name: str) -> str:
+    return str(fixture_path(name))
+
+
+class TestParseJson:
+    @pytest.mark.parametrize("document", ["{not json", '{"a": 1,\n "b": }', "[1, 2", ""])
+    def test_position_is_the_one_json_reports(self, document):
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(document)
+        error = expected.value
+        with pytest.raises(FormatError) as caught:
+            parse_json(document, "thing")
+        assert str(caught.value) == (
+            f"thing: parse error at line {error.lineno}, column {error.colno}: {error.msg}"
+        )
+
+    def test_deep_document_parses(self):
+        assert parse_json('{"a": ' + DEEP_ARRAY + "}", "thing").keys() == {"a"}
+
+    def test_bytes_that_are_not_utf8_are_a_format_error(self):
+        with pytest.raises(FormatError, match="^thing: "):
+            parse_json(b'{"a": "\xff"}', "thing")
+
+
+TABLE = Fields(
+    ("name", "identifier"), ("label", "label"), ("note", "string", None),
+    ("flag", "bool", False), ("count", "int", 0), ("tags", "strings", ()),
+    ("items", "objects", ()), ("meta", "object", None),
+)
+
+
+class TestFields:
+    def test_values_come_in_table_order_with_defaults(self):
+        assert TABLE.read({"label": "L", "name": "n"}, "x") == [
+            "n", "L", None, False, 0, (), (), None
+        ]
+
+    def test_null_stands_for_a_none_default(self):
+        assert TABLE.read({"name": "n", "label": "L", "note": None}, "x")[2] is None
+
+    @pytest.mark.parametrize(
+        ("raw", "message"),
+        [
+            ([], "x: must be a JSON object"),
+            ({"name": "n", "label": "L", "extra": 1, "b": 2}, "x: unknown keys ['b', 'extra']"),
+            ({"label": "L"}, "x: missing key 'name'"),
+            ({"name": "a b", "label": "L"}, "x: 'name' must be a string of [A-Za-z0-9._-]"),
+            ({"name": "n", "label": "  "}, "x: 'label' must be a non-blank string"),
+            ({"name": "n", "label": "L", "note": 5}, "x: 'note' must be a string"),
+            ({"name": "n", "label": "L", "flag": 1}, "x: 'flag' must be a boolean"),
+            ({"name": "n", "label": "L", "flag": "false"}, "x: 'flag' must be a boolean"),
+            ({"name": "n", "label": "L", "flag": None}, "x: 'flag' must be a boolean"),
+            ({"name": "n", "label": "L", "count": True}, "x: 'count' must be an integer"),
+            ({"name": "n", "label": "L", "count": 2.9}, "x: 'count' must be an integer"),
+            ({"name": "n", "label": "L", "tags": ["a", 1]}, "x: 'tags' must be a list of strings"),
+            ({"name": "n", "label": "L", "tags": "ab"}, "x: 'tags' must be a list of strings"),
+            ({"name": "n", "label": "L", "items": [{}, []]}, "x: 'items' must be a list of objects"),
+            ({"name": "n", "label": "L", "meta": []}, "x: 'meta' must be an object"),
+            ({"label": "L", "typo": 1}, "x: unknown keys ['typo']"),
+        ],
+    )
+    def test_malformed_objects_name_the_fault(self, raw, message):
+        with pytest.raises(FormatError) as caught:
+            TABLE.read(raw, "x")
+        assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Documents nested past json's recursion limit
+
+
+def with_deep_array(document: dict, key: str) -> str:
+    """*document* with a 10^5-deep array under *key*."""
+    return json.dumps(dict(document, **{key: "DEEP"})).replace('"DEEP"', DEEP_ARRAY)
+
+
+RECORD = {
+    "record_id": "rec-1", "resource_type": "Book", "call_number": {"class": "L", "book": "SCH73"},
+    "accession_number": 1, "headings": [], "fields": [],
+}
+ONTOLOGY = {"id": "r", "label": "R", "synset": None, "class": None, "children": []}
+GRAPH = {
+    "metadata": {"iri": "https://ex.org/du/eg/2024-01-01T00-00-00Z",
+                 "timestamp": "2024-01-01T00:00:00Z", "sources": []},
+    "entities": [], "links": [],
+}
+
+DEEP_CASES = {
+    "schedule": (lambda: json.loads(fixture_text("med.schedule.json")), "categories", load_schedule),
+    "catalogue code": (
+        lambda: json.loads(fixture_text("ccc.catalogue.json")), "context_exemptions",
+        load_catalogue_code,
+    ),
+    "record": (lambda: RECORD, "headings", load_record),
+    "lexsem": (lambda: json.loads(fixture_text("toy.lexsem.json")), "catalogue", load_lexsem),
+    "dataset schema": (
+        lambda: json.loads(fixture_text("du.schema.json")), "classes", load_dataset_schema
+    ),
+    "ETG": (lambda: json.loads(fixture_text("du.etg.json")), "types", load_etg),
+    "ontology": (lambda: ONTOLOGY, "children", load_ontology_json),
+    "entity graph": (lambda: GRAPH, "links", load_entity_graph_json),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_CASES)
+def test_deep_array_under_a_key_is_a_format_error(case):
+    document, key, loader = DEEP_CASES[case]
+    with pytest.raises(FormatError, match=f"'{key}' must be a list of objects"):
+        loader(with_deep_array(document(), key))
+
+
+def test_deep_array_in_a_mapping_spec_is_a_format_error(schema_graph):
+    spec = with_deep_array(json.loads(fixture_text("du.mapping.json")), "datasets")
+    with pytest.raises(FormatError, match="'datasets' must be a list of objects"):
+        load_mapping_spec(spec, schema_graph)
+
+
+def test_deep_array_in_a_repository_catalogue_is_a_format_error(tmp_path):
+    (tmp_path / "catalogue.json").write_text(with_deep_array({}, "entries"))
+    with pytest.raises(FormatError, match="'entries' must be a list of objects"):
+        open_repository(tmp_path)
+
+
+def test_deep_array_in_a_json_table_is_a_format_error():
+    with pytest.raises(FormatError, match="^JSON table must be a list of objects$"):
+        read_table('[{"id": "a"}, ' + DEEP_ARRAY + "]", "json")
+
+
+def test_cli_exits_2_on_a_deep_schedule(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(with_deep_array(json.loads(fixture_text("med.schedule.json")), "stoplist"))
+    assert main(["schedule", "lint", str(path)]) == 2
+    assert capsys.readouterr().err == "error: schedule: 'stoplist' must be a list of strings\n"
+
+
+# ---------------------------------------------------------------------------
+# No coercion of input values
+
+
+def test_string_sought_is_rejected():
+    document = json.loads(fixture_text("med.schedule.json"))
+    document["categories"][0]["concepts"][0]["sought"] = "false"
+    with pytest.raises(FormatError, match="^category P: 'sought' must be a boolean$"):
+        load_schedule(json.dumps(document))
+
+
+def test_fractional_ordinal_is_rejected():
+    document = json.loads(fixture_text("med.schedule.json"))
+    document["categories"][0]["concepts"][1]["ordinal"] = 2.9
+    with pytest.raises(FormatError, match="^category P: 'ordinal' must be an integer$"):
+        load_schedule(json.dumps(document))
+
+
+def test_string_required_is_rejected():
+    document = json.loads(fixture_text("ccc.catalogue.json"))
+    document["resource_types"]["Book"][0]["required"] = "false"
+    with pytest.raises(FormatError, match="^resource type Book: 'required' must be a boolean$"):
+        load_catalogue_code(json.dumps(document))
+
+
+def test_json_table_values_are_not_coerced():
+    assert read_table('[{"id": "a", "pages": "12"}]', "json") == [{"id": "a", "pages": "12"}]
+    with pytest.raises(FormatError, match="^JSON table row 2: every value must be a string$"):
+        read_table('[{"id": "a"}, {"id": "b", "pages": 12}]', "json")
+
+
+def test_csv_reader_errors_are_format_errors():
+    with pytest.raises(FormatError, match="^CSV table: field larger than field limit"):
+        read_table("id,title\na," + "x" * 200_000 + "\n", "csv")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the loaders and the command line from the shipped fixtures
+
+
+RETYPES = [5, None, "x", [], {}, True, -1.5, ["x"]]
+
+
+def _paths(value, path=()):
+    """The path of *value* and of every value inside it."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from _paths(item, (*path, key))
+
+
+def _replace(document, path, change):
+    """A copy of *document* with ``change(parent, key)`` applied at *path*."""
+    result = copy.deepcopy(document)
+    if not path:
+        return change(None, None)
+    parent = result
+    for key in path[:-1]:
+        parent = parent[key]
+    change(parent, path[-1])
+    return result
+
+
+def mutations(text: str) -> st.SearchStrategy[bytes]:
+    """Drop one key, retype one value or truncate the bytes of *text*."""
+    raw = text.encode()
+    truncate = st.integers(0, len(raw) - 1).map(lambda n: raw[:n])
+    if not text.lstrip().startswith("{"):
+        return truncate
+    document = json.loads(text)
+    paths = list(_paths(document))
+    keyed = [p for p in paths if p and isinstance(p[-1], str)]
+
+    def drop(path):
+        return json.dumps(_replace(document, path, lambda parent, key: parent.pop(key))).encode()
+
+    def retype(choice):
+        path, value = choice
+
+        def put(parent, key):
+            if parent is None:
+                return value
+            parent[key] = copy.deepcopy(value)
+
+        return json.dumps(_replace(document, path, put)).encode()
+
+    return st.one_of(
+        st.sampled_from(keyed).map(drop),
+        st.tuples(st.sampled_from(paths), st.sampled_from(RETYPES)).map(retype),
+        truncate,
+    )
+
+
+EG_BUILD = [
+    "eg", "build", "--ontology", "{ontology}", "--etg", fx("du.etg.json"),
+    "--map", "en-book-1=Publication", "--spec", fx("du.mapping.json"),
+    "--data", f"books={fx('books.csv')}", "--data", f"people={fx('people.csv')}",
+    "--data", f"orgs={fx('orgs.csv')}", "--data", f"places={fx('places.csv')}",
+    "--base", "https://ex.org/du", "--at", "2024-01-01T00:00:00Z", "--out", "{out}",
+]
+ONTOLOGY_BUILD = [
+    "ontology", "build", "--lexsem", fx("toy.lexsem.json"), "--language", "en",
+    "--schema", fx("du.schema.json"), "--out", "{out}",
+]
+
+
+def _with(args: list[str], original: str, replacement: str) -> list[str]:
+    return [arg.replace(original, replacement) for arg in args]
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory, ccc, du_ontology, figure_eg, schema_graph):
+    """Per document: its text, its loader and the command that reads it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    ontology_path = root / "ontology.json"
+    ontology_path.write_bytes(canonical_json(du_ontology))
+    eg_build = _with(EG_BUILD, "{ontology}", str(ontology_path))
+    record = build_record(
+        ccc, "Book", {"title": "T", "author": "A", "publisher": "P", "date": "1973"},
+        [SubjectHeading("Medicine", "L")], make_call_number("L", "Schumacher", 1973, 1), 1,
+    )
+    table: dict[str, tuple[object, list[str]]] = {
+        "med.schedule.json": (load_schedule, ["schedule", "lint", "{file}"]),
+        "ccc.catalogue.json": (
+            load_catalogue_code,
+            ["record", "build", "--code", "{file}", "--schedule", fx("med.schedule.json"),
+             "--formula", "[B],[P]:[E].[S]'[T?]", "--type", "Book",
+             "--class-number", "L,9C:421.44'N7", "--field", "title=T", "--field", "author=A",
+             "--field", "publisher=P", "--field", "date=1973", "--surname", "Schumacher",
+             "--year", "1973", "--accession", "1", "--out", "{out}"],
+        ),
+        "toy.lexsem.json": (load_lexsem, _with(ONTOLOGY_BUILD, fx("toy.lexsem.json"), "{file}")),
+        "du.schema.json": (
+            load_dataset_schema, _with(ONTOLOGY_BUILD, fx("du.schema.json"), "{file}")
+        ),
+        "du.etg.json": (load_etg, ["etg", "lint", "{file}"]),
+        "du.mapping.json": (
+            lambda data: load_mapping_spec(data, schema_graph),
+            _with(eg_build, fx("du.mapping.json"), "{file}"),
+        ),
+    }
+    for name in ("books", "people", "orgs", "places"):
+        table[f"{name}.csv"] = (
+            lambda data: read_table(data.decode(), "csv"),
+            _with(eg_build, fx(f"{name}.csv"), "{file}"),
+        )
+    texts = {name: fixture_text(name) for name in table}
+    # Documents the command line writes from the fixtures, read back by later steps.
+    texts["record.json"] = record_to_json(record)
+    table["record.json"] = (load_record, ["record", "lint", "--code", fx("ccc.catalogue.json"),
+                                          "{file}"])
+    texts["ontology.json"] = canonical_json(du_ontology).decode()
+    table["ontology.json"] = (
+        load_ontology_json,
+        ["ground", "--ontology", "{file}", "--etg", fx("du.etg.json"),
+         "--map", "en-book-1=Publication", "--out", "{out}"],
+    )
+    texts["eg.json"] = export_jsongraph(figure_eg).decode()
+    table["eg.json"] = (
+        load_entity_graph_json, ["eg", "export", "--format", "nt", "{file}", "--out", "{out}"]
+    )
+    return root, {
+        name: (texts[name], loader, _with(_with(args, "{out}", str(root / "out")), "{file}",
+                                          str(root / f"mutated-{name}")))
+        for name, (loader, args) in table.items()
+    }
+
+
+FUZZED = [
+    "med.schedule.json", "ccc.catalogue.json", "toy.lexsem.json", "du.schema.json",
+    "du.etg.json", "du.mapping.json", "books.csv", "people.csv", "orgs.csv", "places.csv",
+    "record.json", "ontology.json", "eg.json",
+]
+
+
+@pytest.mark.parametrize("name", FUZZED)
+def test_mutated_documents_fail_only_with_format_errors(documents, name):
+    root, table = documents
+    text, loader, args = table[name]
+    path = root / f"mutated-{name}"
+
+    # No shrinking: each step runs the command line, and shrinking a failure
+    # took minutes; an unshrunk mutation of a small fixture reads well enough.
+    @seed(20240101)
+    @settings(
+        max_examples=40, derandomize=True, deadline=None, database=None,
+        phases=[Phase.explicit, Phase.generate], suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(mutations(text))
+    def check(data: bytes) -> None:
+        try:
+            loader(data)
+        except FormatError:
+            pass
+        path.write_bytes(data)
+        assert main(args) in (0, 1, 2)
+
+    check()
