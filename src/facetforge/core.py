@@ -23,7 +23,9 @@ __all__ = [
     "Label",
     "Provenance",
     "RULES",
+    "TermTable",
     "check",
+    "check_identifier",
     "finding",
     "format_timestamp",
     "has_errors",
@@ -54,13 +56,13 @@ class Identifier:
     value: str
 
     def __post_init__(self) -> None:
-        _check_identifier(self.value)
+        check_identifier(self.value)
 
     def __str__(self) -> str:
         return self.value
 
 
-def _check_identifier(text: str) -> str:
+def check_identifier(text: str) -> str:
     """Return *text* if it is an identifier; else report its first bad position."""
     if isinstance(text, str) and _IDENTIFIER_RE.match(text):
         return text
@@ -104,10 +106,26 @@ def mint_iri(base: Iri, segments: Sequence[str | Identifier]) -> Iri:
     if not segments:
         raise ValueError("mint_iri requires at least one segment")
     values = [
-        segment.value if isinstance(segment, Identifier) else _check_identifier(segment)
+        segment.value if isinstance(segment, Identifier) else check_identifier(segment)
         for segment in segments
     ]
     return Iri(base.value.rstrip("/") + "/" + "/".join(values))
+
+
+class TermTable(dict):
+    """Key -> ``make(key)``, made on the key's first lookup and then shared.
+
+    A build or an export keeps one for the length of the call, so each
+    distinct term is checked, built or rendered once.
+    """
+
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
+        return value
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -22,14 +22,15 @@ from .core import (
     Finding,
     FormatError,
     Iri,
+    TermTable,
     check,
+    check_identifier,
     finding,
     format_timestamp,
     mint_iri,
     parse_json,
     sort_findings,
     timestamp_identifier,
-    validate_identifier,
 )
 from .etg import SchemaGraph
 
@@ -180,12 +181,20 @@ class LinkMap:
 
 @dataclass(frozen=True)
 class DatasetMapping:
+    """One dataset's maps.  ``shares_property`` is derived: two of its maps
+    name one property, so one row can emit a triple twice."""
+
     id: str
     entity_type: str
     id_column: str
     data_maps: tuple[DataMap, ...] = ()
     link_maps: tuple[LinkMap, ...] = ()
     dangling_policy: str = "error"
+    shares_property: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        names = [m.property for m in (*self.data_maps, *self.link_maps)]
+        object.__setattr__(self, "shares_property", len(set(names)) < len(names))
 
 
 @dataclass(frozen=True)
@@ -371,7 +380,7 @@ def ingest_dataset(
         row_id = (raw.get(entry.id_column) or "").strip()
         if not row_id:
             raise ValueError(f"dataset {entry.id}: row with empty id column")
-        validate_identifier(row_id)
+        check_identifier(row_id)
         if row_id in seen:
             findings.append(
                 finding("IG2", f"{entry.id}/{row_id}", "duplicate row identifier")
@@ -398,7 +407,7 @@ def ingest_dataset(
                 continue
             target_id = cell.strip()
             try:
-                validate_identifier(target_id)
+                check_identifier(target_id)
             except ValueError as exc:
                 findings.append(
                     finding("IG1", f"{entry.id}/{row_id}/{link_map.column}", str(exc))
@@ -453,23 +462,29 @@ def build_entity_graph(
         }
     }
 
+    # The term table of this build: each entity IRI is built once, under its
+    # type's prefix, and shared by its row's triples and every link to it.
+    entity_iris = {name: _entity_iris(base, name) for name in type_terms}
+    iris_by_dataset = {ds: entity_iris[entity_type] for ds, entity_type in type_by_dataset.items()}
+
     owners: dict[str, str] = {}  # entity IRI -> dataset whose row minted it
     stubs: dict[str, tuple[Iri, str]] = {}
     triples: list[Triple] = []
     for entry in spec.datasets:
+        iris = iris_by_dataset[entry.id]
         for row in ingested[entry.id]:
-            subject = mint_iri(base, [entry.entity_type, row.id])
+            subject = iris[row.id]
             owner = owners.setdefault(subject.value, entry.id)
             if owner != entry.id:
                 message = f"row identifier {row.id!r} already used by dataset {owner!r}"
                 findings.append(finding("IG3", f"{entry.id}/{row.id}", message + "; row dropped"))
                 continue
+            first = len(triples)
             triples.append(Triple(subject, predicate_type, type_terms[entry.entity_type]))
             for prop, value in row.values:
                 triples.append(Triple(subject, predicates[prop], value))
             for prop, target_dataset, target_id in row.links:
-                target_type = type_by_dataset[target_dataset]
-                target = mint_iri(base, [target_type, target_id])
+                target = iris_by_dataset[target_dataset][target_id]
                 if target_id not in ids_by_dataset[target_dataset]:
                     path = f"{entry.id}/{row.id}/{prop}"
                     message = (
@@ -483,9 +498,11 @@ def build_entity_graph(
                         findings.append(finding("LK2", path, message + "; link dropped"))
                         continue
                     findings.append(finding("LK3", path, message + "; stub created"))
-                    stubs[target.value] = (target, target_type)
+                    stubs[target.value] = (target, type_by_dataset[target_dataset])
                     ids_by_dataset[target_dataset].add(target_id)
                 triples.append(Triple(subject, predicates[prop], target))
+            if entry.shares_property:  # two of its columns may give one triple
+                triples[first:] = dict.fromkeys(triples[first:])
 
     # A row of another dataset of the stub's type may have minted its IRI.
     for key, (stub, stub_type) in stubs.items():
@@ -499,6 +516,13 @@ def build_entity_graph(
         triples=tuple(sorted(triples, key=Triple.sort_key)),
     )
     return graph, sort_findings(findings)
+
+
+def _entity_iris(base: Iri, entity_type: str) -> TermTable:
+    """Entity id -> ``<base>/<type>/<id>``.  The type is checked once, with
+    its prefix; ingest has checked each id."""
+    prefix = mint_iri(base, [entity_type]).value + "/"
+    return TermTable(lambda entity_id: Iri(prefix + entity_id))
 
 
 # ---------------------------------------------------------------------------

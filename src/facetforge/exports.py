@@ -10,9 +10,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from functools import partial
+from json.encoder import encode_basestring_ascii as _json_string
 
-from .core import Fields, FormatError, Iri, format_timestamp, parse_json, parse_timestamp
+from .core import (
+    Fields,
+    FormatError,
+    Iri,
+    TermTable,
+    format_timestamp,
+    parse_json,
+    parse_timestamp,
+)
 from .eg import (
     LITERAL_DATATYPES,
     EntityGraph,
@@ -44,10 +54,14 @@ _XSD_REVERSE = {iri: name for name, iri in XSD.items()}
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+# ``str.translate`` takes its slow path for a table that maps a character
+# to several, so it runs only on the few texts that hold such a character.
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
+_NEEDS_ESCAPE = re.compile("[" + re.escape("".join(_ESCAPES)) + "]")
 
 
 def _escape(text: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in text)
+    return text.translate(_ESCAPE_TABLE) if _NEEDS_ESCAPE.search(text) else text
 
 
 def render_term(term: Iri | Literal) -> str:
@@ -61,14 +75,27 @@ def render_term(term: Iri | Literal) -> str:
 
 
 def render_ntriples(triples) -> bytes:
-    """Render triples as sorted ``<s> <p> <o> .`` lines (LF, trailing newline)."""
-    lines = sorted(
-        f"{render_term(t.subject)} {render_term(t.predicate)} {render_term(t.object)} .".encode()
-        for t in triples
-    )
+    """Render triples as sorted ``<s> <p> <o> .`` lines (LF, trailing newline).
+
+    The lines are sorted as text: UTF-8 keeps code point order, so that is
+    the order of their bytes.
+    """
+    lines = []
+    add = lines.append
+    for t in triples:
+        obj = t.object
+        if isinstance(obj, Iri):
+            add(f"<{t.subject.value}> <{t.predicate.value}> <{obj.value}> .")
+        else:
+            add(
+                f'<{t.subject.value}> <{t.predicate.value}>'
+                f' "{_escape(obj.text)}"^^<{XSD[obj.datatype]}> .'
+            )
     if not lines:
         return b""
-    return b"\n".join(lines) + b"\n"
+    lines.sort()
+    lines.append("")
+    return "\n".join(lines).encode()
 
 
 def export_ntriples(eg: EntityGraph) -> bytes:
@@ -141,43 +168,58 @@ def export_jsongraph(eg: EntityGraph) -> bytes:
     Each entity carries its literal values; every IRI-valued fact other than
     a type is a link.  Property names are stored bare; their predicate IRIs
     follow the fixed ``<base>/prop/<name>`` convention and are recovered by
-    the loader.
+    the loader.  The text is what ``json.dumps`` gives with ``ensure_ascii``
+    and compact separators, written out here so that each distinct IRI and
+    name is encoded once.
     """
     predicate_type = type_predicate(derive_base(eg.iri)).value
-    entities: dict[str, dict] = {}
-    values: dict[str, list[dict]] = {}
-    links = []
+    names = TermTable(_last_segment)  # predicate or type IRI -> its name
+    types: dict[str, str] = {}  # entity IRI -> type name
+    values: dict[str, list[tuple[str, str, str]]] = {}
+    links: list[tuple[str, str, str]] = []
     for t in eg.triples:
-        subject = t.subject.value
-        if t.predicate.value == predicate_type:
-            entities[subject] = {
-                "iri": subject,
-                "type": t.object.value.rsplit("/", 1)[1],
-                "values": values.setdefault(subject, []),
-            }
-            continue
-        prop = t.predicate.value.rsplit("/", 1)[1]
-        if isinstance(t.object, Literal):
-            values.setdefault(subject, []).append(
-                {"property": prop, "datatype": t.object.datatype, "value": t.object.text}
-            )
+        subject, predicate, obj = t.subject.value, t.predicate.value, t.object
+        if predicate == predicate_type:
+            types[subject] = names[obj.value]
+        elif isinstance(obj, Literal):
+            values.setdefault(subject, []).append((names[predicate], obj.datatype, obj.text))
         else:
-            links.append({"subject": subject, "property": prop, "object": t.object.value})
+            links.append((subject, names[predicate], obj.value))
 
-    for entity in entities.values():
-        entity["values"].sort(key=lambda v: (v["property"], v["datatype"], v["value"]))
-    links.sort(key=lambda l: (l["subject"], l["property"], l["object"]))
-    payload = {
-        "metadata": {
-            "iri": eg.iri.value,
-            "timestamp": format_timestamp(eg.timestamp),
-            "sources": list(eg.sources),
-            "counts": {"entities": len(entities), "triples": len(eg.triples)},
-        },
-        "entities": [entities[key] for key in sorted(entities)],
-        "links": links,
+    quoted = TermTable(_json_string)  # IRI or name -> its JSON string
+    entities = []
+    for subject in sorted(types):
+        entity_values = ",".join(
+            [
+                f'{{"property":{quoted[prop]},"datatype":{quoted[datatype]},'
+                f'"value":{_json_string(text)}}}'
+                for prop, datatype, text in sorted(values.get(subject, ()))
+            ]
+        )
+        entities.append(
+            f'{{"iri":{quoted[subject]},"type":{quoted[types[subject]]},'
+            f'"values":[{entity_values}]}}'
+        )
+    link_objects = ",".join(
+        [
+            f'{{"subject":{quoted[subject]},"property":{quoted[prop]},"object":{quoted[obj]}}}'
+            for subject, prop, obj in sorted(links)
+        ]
+    )
+    metadata = {
+        "iri": eg.iri.value,
+        "timestamp": format_timestamp(eg.timestamp),
+        "sources": list(eg.sources),
+        "counts": {"entities": len(types), "triples": len(eg.triples)},
     }
-    return json.dumps(payload, ensure_ascii=True, separators=(",", ":")).encode() + b"\n"
+    return (
+        f'{{"metadata":{json.dumps(metadata, ensure_ascii=True, separators=(",", ":"))},'
+        f'"entities":[{",".join(entities)}],"links":[{link_objects}]}}\n'
+    ).encode()
+
+
+def _last_segment(iri_text: str) -> str:
+    return iri_text.rsplit("/", 1)[1]
 
 
 _GRAPH = Fields(("metadata", "object"), ("entities", "objects"), ("links", "objects"))
@@ -279,20 +321,24 @@ def export_fca(eg: EntityGraph) -> bytes:
     property (or is of the type).
     """
     predicate_type = type_predicate(derive_base(eg.iri)).value
+    names = TermTable(_last_segment)  # predicate or type IRI -> its name
     types: dict[str, str] = {}
     incidence: dict[str, set[str]] = {}
     for triple in eg.triples:
-        subject = triple.subject.value
-        if triple.predicate.value == predicate_type:
-            types[subject] = "type:" + triple.object.value.rsplit("/", 1)[1]
+        subject, predicate = triple.subject.value, triple.predicate.value
+        if predicate == predicate_type:
+            types[subject] = "type:" + names[triple.object.value]
         else:
-            incidence.setdefault(subject, set()).add(triple.predicate.value.rsplit("/", 1)[1])
+            incidence.setdefault(subject, set()).add(names[predicate])
     columns = sorted(set().union(*incidence.values(), types.values()))
+    position = {column: index for index, column in enumerate(columns, start=1)}
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(["entity", *columns])
     for iri_value in sorted(types):
-        attributes = incidence.get(iri_value, set()) | {types[iri_value]}
-        writer.writerow([iri_value, *("1" if column in attributes else "0" for column in columns)])
+        row = [iri_value, *["0"] * len(columns)]
+        for column in (*incidence.get(iri_value, ()), types[iri_value]):
+            row[position[column]] = "1"
+        writer.writerow(row)
     return buffer.getvalue().encode()

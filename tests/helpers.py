@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import random
 from datetime import datetime, timezone
 
-from facetforge.core import Finding, Iri, Label, finding, parse_timestamp, sort_findings
-from facetforge.eg import EntityGraph, Literal, Triple
+from facetforge.core import (
+    Finding,
+    Iri,
+    Label,
+    finding,
+    format_timestamp,
+    parse_timestamp,
+    sort_findings,
+)
+from facetforge.eg import EntityGraph, Literal, Triple, derive_base, type_predicate
 from facetforge.etg import DataProperty, EntityType, EntityTypeGraph, ObjectProperty
 from facetforge.facet import FacetFormula, FormulaSlot
-from facetforge.exports import render_term
+from facetforge.exports import XSD, render_term
 from facetforge.lexsem import LexicalSemanticResource, Synset
 from facetforge.ontology import LightweightOntology, OntologyNode
 from facetforge.query import BindingTable, Pattern, Query, Term, Variable
@@ -165,6 +176,140 @@ def random_wide_graph(rng: random.Random, size: int) -> EntityGraph:
         sources=(),
         triples=ordered,
     )
+
+
+def random_export_graph(rng: random.Random, loadable: bool = False) -> EntityGraph:
+    """A built-shaped graph whose literals need every N-Triples escape.
+
+    Entities carry literal values, IRI-typed values and links, some to IRIs
+    outside the graph.  Unless *loadable*, some subjects have values but no
+    type, or two types, and some predicates are not ``<base>/prop/<name>``
+    with an identifier name, which the exporters render but the loaders
+    refuse or cannot give back.
+    """
+    base = "https://ex.org/du"
+    alphabet = ["a", "Z", "0", " ", "\\", '"', "\n", "\r", "\t", "é", "ß", "→", "😀", "/", "<"]
+    types = ["Person", "Place", "Publication"]
+    properties = ["name", "title", "a-b", "a.b", *([] if loadable else ["héllo", "x~y"])]
+
+    def text() -> str:
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+
+    subjects = sorted(
+        {
+            Iri(f"{base}/{rng.choice(types)}/e{rng.randint(0, 30)}{rng.choice(['', 'é', '.x'])}")
+            for _ in range(rng.randint(0, 12))
+        },
+        key=str,
+    )
+    predicate_type = Iri(f"{base}/prop/type")
+    triples: set[Triple] = set()
+    for subject in subjects:
+        for _ in range(1 if loadable else rng.choice([0, 1, 1, 1, 2])):
+            triples.add(Triple(subject, predicate_type, Iri(f"{base}/type/{rng.choice(types)}")))
+        for _ in range(rng.randint(0, 4)):
+            namespace = f"{base}/prop" if loadable else rng.choice([f"{base}/prop", "https://ex.org/a"])
+            predicate = Iri(f"{namespace}/{rng.choice(properties)}")
+            roll = rng.random()
+            if roll < 0.6:
+                datatype = rng.choice(["string", "string", "integer", "date"])
+                triples.add(Triple(subject, predicate, Literal(text(), datatype)))
+            elif roll < 0.8:
+                triples.add(Triple(subject, predicate, rng.choice(subjects)))
+            else:
+                home = Iri(f"https://ex.org/home/{rng.randint(0, 5)}{rng.choice(['', 'é'])}")
+                triples.add(Triple(subject, predicate, home))
+    return EntityGraph(
+        iri=Iri(f"{base}/eg/2024-01-01T00-00-00Z"),
+        timestamp=AT,
+        sources=tuple(rng.sample(DATASET_NAMES, rng.randint(0, 4))),
+        triples=tuple(sorted(triples, key=Triple.sort_key)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Exporter oracles: the exporters as first written, one Python step per
+# character, term and value, and ``json.dumps`` over a dict per value.
+
+_ORACLE_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def oracle_escape(text: str) -> str:
+    return "".join(_ORACLE_ESCAPES.get(ch, ch) for ch in text)
+
+
+def oracle_render_term(term: Iri | Literal) -> str:
+    if isinstance(term, Iri):
+        return f"<{term.value}>"
+    return f'"{oracle_escape(term.text)}"^^<{XSD[term.datatype]}>'
+
+
+def oracle_render_ntriples(triples) -> bytes:
+    lines = sorted(
+        f"{oracle_render_term(t.subject)} {oracle_render_term(t.predicate)}"
+        f" {oracle_render_term(t.object)} .".encode()
+        for t in triples
+    )
+    if not lines:
+        return b""
+    return b"\n".join(lines) + b"\n"
+
+
+def oracle_export_jsongraph(eg: EntityGraph) -> bytes:
+    predicate_type = type_predicate(derive_base(eg.iri)).value
+    entities: dict[str, dict] = {}
+    values: dict[str, list[dict]] = {}
+    links = []
+    for t in eg.triples:
+        subject = t.subject.value
+        if t.predicate.value == predicate_type:
+            entities[subject] = {
+                "iri": subject,
+                "type": t.object.value.rsplit("/", 1)[1],
+                "values": values.setdefault(subject, []),
+            }
+            continue
+        prop = t.predicate.value.rsplit("/", 1)[1]
+        if isinstance(t.object, Literal):
+            values.setdefault(subject, []).append(
+                {"property": prop, "datatype": t.object.datatype, "value": t.object.text}
+            )
+        else:
+            links.append({"subject": subject, "property": prop, "object": t.object.value})
+    for entity in entities.values():
+        entity["values"].sort(key=lambda v: (v["property"], v["datatype"], v["value"]))
+    links.sort(key=lambda l: (l["subject"], l["property"], l["object"]))
+    payload = {
+        "metadata": {
+            "iri": eg.iri.value,
+            "timestamp": format_timestamp(eg.timestamp),
+            "sources": list(eg.sources),
+            "counts": {"entities": len(entities), "triples": len(eg.triples)},
+        },
+        "entities": [entities[key] for key in sorted(entities)],
+        "links": links,
+    }
+    return json.dumps(payload, ensure_ascii=True, separators=(",", ":")).encode() + b"\n"
+
+
+def oracle_export_fca(eg: EntityGraph) -> bytes:
+    predicate_type = type_predicate(derive_base(eg.iri)).value
+    types: dict[str, str] = {}
+    incidence: dict[str, set[str]] = {}
+    for triple in eg.triples:
+        subject = triple.subject.value
+        if triple.predicate.value == predicate_type:
+            types[subject] = "type:" + triple.object.value.rsplit("/", 1)[1]
+        else:
+            incidence.setdefault(subject, set()).add(triple.predicate.value.rsplit("/", 1)[1])
+    columns = sorted(set().union(*incidence.values(), types.values()))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(["entity", *columns])
+    for iri_value in sorted(types):
+        attributes = incidence.get(iri_value, set()) | {types[iri_value]}
+        writer.writerow([iri_value, *("1" if column in attributes else "0" for column in columns)])
+    return buffer.getvalue().encode()
 
 
 def random_anchored_query(rng: random.Random, eg: EntityGraph, max_patterns: int = 3) -> Query:

@@ -13,6 +13,7 @@ from facetforge.core import (
     Iri,
     Label,
     RULES,
+    check_identifier,
     finding,
     format_timestamp,
     mint_iri,
@@ -46,6 +47,17 @@ class TestIdentifier:
         except ValueError:
             accepted = False
         assert accepted == matches
+
+    @given(st.text(max_size=40))
+    def test_check_identifier_agrees_with_validate_identifier(self, text):
+        try:
+            expected = validate_identifier(text).value
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                check_identifier(text)
+            assert str(raised.value) == str(exc)
+        else:
+            assert check_identifier(text) is expected
 
     def test_dataclass_validates_too(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from facetforge.core import FormatError, Iri
+from facetforge.core import FormatError, Iri, Label, mint_iri
 from facetforge.eg import (
     DanglingLinkError,
     Literal,
@@ -14,7 +15,8 @@ from facetforge.eg import (
     load_mapping_spec,
     read_table,
 )
-from facetforge.exports import export_jsongraph, load_entity_graph_json
+from facetforge.etg import DataProperty, EntityType, ground
+from facetforge.exports import export_jsongraph, export_ntriples, load_entity_graph_json
 from facetforge.fixtures import fixture_text
 from helpers import AT, BASE
 
@@ -222,3 +224,110 @@ class TestBuild:
         again, findings = build_entity_graph(schema_graph, mapping_spec, tables, BASE, AT)
         assert findings == []
         assert again == figure_eg
+
+
+class TestGraphIsASet:
+    @staticmethod
+    def build_with_alias(schema_graph, tables, aliases):
+        data = mapping_document()
+        data["datasets"][1]["data_maps"].append(
+            {"column": "alias", "property": "name", "datatype": "string"}
+        )
+        spec = load_mapping_spec(json.dumps(data), schema_graph)
+        people = [dict(row, alias=aliases.get(row["id"], row["name"])) for row in tables["people"]]
+        return spec, build_entity_graph(schema_graph, spec, dict(tables, people=people), BASE, AT)
+
+    def test_two_columns_on_one_property_emit_a_triple_once(self, schema_graph, tables, figure_eg):
+        spec, (graph, findings) = self.build_with_alias(schema_graph, tables, {})
+        assert findings == []
+        assert [entry.shares_property for entry in spec.datasets] == [False, True, False, False]
+        lines = export_ntriples(graph).decode().splitlines()
+        assert len(lines) == len(set(lines)) == len(graph.triples)
+        assert graph.triples == figure_eg.triples
+
+    def test_cells_that_differ_still_give_two_triples(self, schema_graph, tables, figure_eg):
+        _, (graph, _) = self.build_with_alias(schema_graph, tables, {"schumacher": "Fritz"})
+        added = set(graph.triples) - set(figure_eg.triples)
+        assert [t.object for t in added] == [Literal("Fritz", "string")]
+        assert len(graph.triples) == len(figure_eg.triples) + 1
+
+
+class TestMinting:
+    """Entity IRIs are ``mint_iri(base, [type, id])``, whichever way a build makes them."""
+
+    def test_subjects_and_link_targets_are_minted_from_type_and_id(self, schema_graph, tables):
+        data = mapping_document()
+        for entry in data["datasets"]:
+            entry["dangling_policy"] = "stub"
+        spec = load_mapping_spec(json.dumps(data), schema_graph)
+        broken = dict(tables, orgs=[dict(tables["orgs"][0], founder="nobody")])
+        graph, _ = build_entity_graph(schema_graph, spec, broken, BASE, AT)
+
+        types = {entry.id: entry.entity_type for entry in spec.datasets}
+        expected_subjects = {mint_iri(BASE, ["Person", "nobody"])}
+        expected_links = set()
+        for entry in spec.datasets:
+            for row in broken[entry.id]:
+                subject = mint_iri(BASE, [entry.entity_type, row["id"]])
+                expected_subjects.add(subject)
+                for link in entry.link_maps:
+                    target = mint_iri(BASE, [types[link.target], row[link.column]])
+                    expected_links.add((subject, link.property, target))
+        assert {t.subject for t in graph.triples} == expected_subjects
+        links = {
+            (t.subject, t.predicate.value.rsplit("/", 1)[1], t.object)
+            for t in graph.triples
+            if isinstance(t.object, Iri) and not t.predicate.value.endswith("/prop/type")
+        }
+        assert links == expected_links
+
+    def test_bad_row_id_message(self, schema_graph, mapping_spec, tables):
+        broken = dict(tables, places=[dict(tables["places"][0], id="man hattan")])
+        with pytest.raises(ValueError) as exc:
+            build_entity_graph(schema_graph, mapping_spec, broken, BASE, AT)
+        assert str(exc.value) == "identifier 'man hattan': character ' ' illegal at index 3"
+
+    def test_bad_link_target_finding(self, schema_graph, mapping_spec, tables):
+        broken = dict(tables, books=[dict(tables["books"][0], author="e.f./schumacher")])
+        _, findings = build_entity_graph(schema_graph, mapping_spec, broken, BASE, AT)
+        assert [f.render() for f in findings] == [
+            "warning IG1 books/b1/author: identifier 'e.f./schumacher':"
+            " character '/' illegal at index 4"
+        ]
+
+    def test_directly_built_etg_names_must_be_identifiers(
+        self, du_etg, du_ontology, tables
+    ):
+        cases = {
+            "type": (
+                replace(
+                    du_etg,
+                    types=(*du_etg.types, EntityType("Bad Type", Label("Odd"), "Entity", ("odd",))),
+                ),
+                {"id": "odd", "type": "Bad Type", "id_column": "id"},
+                "identifier 'Bad Type': character ' ' illegal at index 3",
+            ),
+            "property": (
+                replace(
+                    du_etg,
+                    data_properties=(
+                        *du_etg.data_properties, DataProperty("full name", "Entity", "string")
+                    ),
+                ),
+                {
+                    "id": "odd",
+                    "type": "Person",
+                    "id_column": "id",
+                    "data_maps": [{"column": "name", "property": "full name", "datatype": "string"}],
+                },
+                "identifier 'full name': character ' ' illegal at index 4",
+            ),
+        }
+        for case, (etg, dataset, message) in cases.items():
+            schema_graph, _ = ground(du_ontology, etg, {"en-book-1": "Publication"})
+            data = mapping_document()
+            data["datasets"].append(dataset)
+            spec = load_mapping_spec(json.dumps(data), schema_graph)
+            with pytest.raises(ValueError) as exc:
+                build_entity_graph(schema_graph, spec, dict(tables, odd=[]), BASE, AT)
+            assert str(exc.value) == message, case

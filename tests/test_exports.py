@@ -3,7 +3,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 import re
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -18,9 +20,18 @@ from facetforge.exports import (
     load_entity_graph_json,
     parse_ntriples,
     render_ntriples,
+    render_term,
 )
 from facetforge.fixtures import fixture_text
-from helpers import AT, BASE
+from helpers import (
+    AT,
+    BASE,
+    oracle_export_fca,
+    oracle_export_jsongraph,
+    oracle_render_ntriples,
+    oracle_render_term,
+    random_export_graph,
+)
 
 
 def empty_eg():
@@ -208,3 +219,33 @@ class TestFca:
 
     def test_double_export_identical(self, figure_eg):
         assert export_fca(figure_eg) == export_fca(figure_eg)
+
+
+class TestAgainstOracles:
+    """The exporters give the bytes of their first, term-by-term forms."""
+
+    @pytest.mark.parametrize("loadable", [False, True])
+    def test_random_graphs_export_byte_for_byte(self, loadable):
+        rng = random.Random(8)
+        for _ in range(300):
+            graph = random_export_graph(rng, loadable)
+            shuffled = replace(graph, triples=tuple(rng.sample(graph.triples, len(graph.triples))))
+            for case in (graph, shuffled):
+                assert export_ntriples(case) == oracle_render_ntriples(case.triples)
+                assert export_jsongraph(case) == oracle_export_jsongraph(case)
+                assert export_fca(case) == oracle_export_fca(case)
+            for triple in graph.triples:
+                assert render_term(triple.object) == oracle_render_term(triple.object)
+
+    def test_random_graphs_round_trip_through_both_loaders(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            graph = random_export_graph(rng, loadable=True)
+            assert load_entity_graph_json(export_jsongraph(graph)) == graph
+            parsed = parse_ntriples(export_ntriples(graph))
+            assert sorted(parsed, key=lambda t: t.sort_key()) == list(graph.triples)
+
+    def test_fixture_exports_byte_for_byte(self, figure_eg):
+        assert export_ntriples(figure_eg) == oracle_render_ntriples(figure_eg.triples)
+        assert export_jsongraph(figure_eg) == oracle_export_jsongraph(figure_eg)
+        assert export_fca(figure_eg) == oracle_export_fca(figure_eg)
