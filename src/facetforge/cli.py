@@ -106,12 +106,7 @@ def _tokenize_query(text: str) -> list[str]:
             tokens.append(text[position:end])
             position = end
         elif char == '"':
-            cursor = position + 1
-            while cursor < len(text) and (text[cursor] != '"' or text[cursor - 1] == "\\"):
-                cursor += 1
-            if cursor >= len(text):
-                raise _UsageError("query: unterminated literal")
-            end = cursor + 1
+            _, end = _read_literal(text, position)
             if text.startswith("^^", end):
                 end += 2
                 if end < len(text) and text[end] == "<":
@@ -133,41 +128,30 @@ def _tokenize_query(text: str) -> list[str]:
     return tokens
 
 
-def _resolve_names(eg: eg_mod.EntityGraph, names: set[str]) -> dict[str, list[str]]:
-    """Graph IRIs whose last segment is each short name, from one pass."""
-    found: dict[str, list[str]] = {name: [] for name in names}
-    if found:
-        iris = {
-            term.value
-            for triple in eg.triples
-            for term in (triple.subject, triple.predicate, triple.object)
-            if isinstance(term, Iri)
-        }
-        for value in iris:
-            hits = found.get(value.rsplit("/", 1)[-1])
-            if hits is not None:
-                hits.append(value)
-    return {name: sorted(hits) for name, hits in found.items()}
+def _read_literal(text: str, start: int) -> tuple[str, int]:
+    try:
+        return exports.read_literal(text, start)
+    except FormatError as exc:
+        raise _UsageError(f"query: {exc}") from None
 
 
-def _name_term(name: str, resolved: dict[str, list[str]]) -> Iri:
+def _name_term(name: str, eg: eg_mod.EntityGraph) -> Iri:
     """The unique graph IRI a short name stands for; full IRIs stand for themselves."""
     if "://" in name:
         return Iri(name)
-    matches = resolved[name]
+    matches = eg.short_names.get(name, ())
     if not matches:
         raise _UsageError(f"query: name {name!r} matches no term in the graph")
     if len(matches) > 1:
-        raise _UsageError(f"query: name {name!r} is ambiguous: {matches}")
-    return Iri(matches[0])
+        raise _UsageError(f"query: name {name!r} is ambiguous: {[m.value for m in matches]}")
+    return matches[0]
 
 
 def _parse_literal_token(token: str) -> eg_mod.Literal:
-    body, sep, datatype = token.partition("^^")
-    text = body[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-    if not sep:
+    text, end = _read_literal(token, 0)
+    if end == len(token):
         return eg_mod.Literal(text, "string")
-    datatype = datatype.strip()
+    datatype = token[end + 2:]  # the tokenizer put "^^" after the closing quote
     if datatype.startswith("<"):
         reverse = {iri: name for name, iri in exports.XSD.items()}
         resolved = reverse.get(datatype[1:-1])
@@ -180,9 +164,6 @@ def _parse_literal_token(token: str) -> eg_mod.Literal:
 def parse_query_text(text: str, eg: eg_mod.EntityGraph) -> query_mod.Query:
     """Parse ``?var <name> "literal" .`` pattern text against a graph."""
     tokens = _tokenize_query(text)
-    resolved = _resolve_names(
-        eg, {t[1:-1] for t in tokens if t.startswith("<") and "://" not in t}
-    )
     patterns: list = []
     current: list = []
     for token in tokens:
@@ -194,7 +175,7 @@ def parse_query_text(text: str, eg: eg_mod.EntityGraph) -> query_mod.Query:
         elif token.startswith("?"):
             current.append(query_mod.Variable(token))
         elif token.startswith("<"):
-            current.append(_name_term(token[1:-1], resolved))
+            current.append(_name_term(token[1:-1], eg))
         elif token.startswith('"'):
             current.append(_parse_literal_token(token))
         else:

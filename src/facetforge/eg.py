@@ -14,8 +14,9 @@ import io
 import json
 from dataclasses import dataclass, field
 from datetime import date, datetime
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
     Fields,
@@ -79,8 +80,10 @@ class Literal:
             raise ValueError(f"literal datatype must be one of {LITERAL_DATATYPES}")
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
+    """One fact.  A named tuple: it equals, and hashes like, the plain
+    ``(subject, predicate, object)`` tuple of its terms."""
+
     subject: Iri
     predicate: Iri
     object: Iri | Literal
@@ -135,6 +138,22 @@ class EntityGraph:
                 )
                 seen.setdefault(key, term)
         return [seen[key] for key in sorted(seen)]
+
+    @cached_property
+    def short_names(self) -> dict[str, tuple[Iri, ...]]:
+        """Last IRI segment -> the graph's IRIs that end in it, in value order.
+
+        Built from the triples on the first lookup and kept with the graph,
+        which is frozen, so it cannot go stale; it takes no part in ``==``,
+        ``hash`` or ``repr``.
+        """
+        iris = {
+            term.value: term for triple in self.triples for term in triple if isinstance(term, Iri)
+        }
+        names: dict[str, list[Iri]] = {}
+        for value in sorted(iris):
+            names.setdefault(value.rsplit("/", 1)[-1], []).append(iris[value])
+        return {name: tuple(terms) for name, terms in names.items()}
 
 
 # ---------------------------------------------------------------------------

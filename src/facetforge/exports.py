@@ -41,6 +41,7 @@ __all__ = [
     "export_ntriples",
     "load_entity_graph_json",
     "parse_ntriples",
+    "read_literal",
     "render_ntriples",
     "render_term",
 ]
@@ -58,6 +59,8 @@ _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 # to several, so it runs only on the few texts that hold such a character.
 _ESCAPE_TABLE = str.maketrans(_ESCAPES)
 _NEEDS_ESCAPE = re.compile("[" + re.escape("".join(_ESCAPES)) + "]")
+_QUOTED = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"', re.DOTALL)
+_ESCAPE_PAIR = re.compile(r"\\(.)", re.DOTALL)
 
 
 def _escape(text: str) -> str:
@@ -102,29 +105,35 @@ def export_ntriples(eg: EntityGraph) -> bytes:
     return render_ntriples(eg.triples)
 
 
+def read_literal(text: str, start: int) -> tuple[str, int]:
+    """The decoded text of the quoted literal opening at *start*, and the
+    index just past its closing quote.
+
+    A backslash escapes the character after it, so escapes are read in
+    pairs; only the escapes :func:`render_term` writes are accepted.
+    """
+    match = _QUOTED.match(text, start)
+    if match is None:
+        raise FormatError("unterminated literal")
+    body = match.group(1)
+    if "\\" in body:
+        body = _ESCAPE_PAIR.sub(_unescape, body)
+    return body, match.end()
+
+
+def _unescape(match: re.Match) -> str:
+    decoded = _UNESCAPES.get(match.group(1))
+    if decoded is None:
+        raise FormatError(f"bad escape \\{match.group(1)} in literal")
+    return decoded
+
+
 def _read_term(text: str, position: int) -> tuple[Iri | Literal, int]:
     if text[position] == "<":
         end = text.index(">", position)
         return Iri(text[position + 1:end]), end + 1
     if text[position] == '"':
-        chars: list[str] = []
-        cursor = position + 1
-        while cursor < len(text):
-            ch = text[cursor]
-            if ch == "\\":
-                escaped = _UNESCAPES.get(text[cursor + 1])
-                if escaped is None:
-                    raise FormatError(f"bad escape \\{text[cursor + 1]} in literal")
-                chars.append(escaped)
-                cursor += 2
-                continue
-            if ch == '"':
-                break
-            chars.append(ch)
-            cursor += 1
-        else:
-            raise FormatError("unterminated literal")
-        cursor += 1
+        value, cursor = read_literal(text, position)
         if not text.startswith("^^<", cursor):
             raise FormatError("literal missing ^^<datatype>")
         end = text.index(">", cursor + 3)
@@ -132,7 +141,7 @@ def _read_term(text: str, position: int) -> tuple[Iri | Literal, int]:
         datatype = _XSD_REVERSE.get(datatype_iri)
         if datatype is None:
             raise FormatError(f"unsupported literal datatype {datatype_iri!r}")
-        return Literal("".join(chars), datatype), end + 1
+        return Literal(value, datatype), end + 1
     raise FormatError(f"unexpected term at column {position}: {text[position:]!r}")
 
 

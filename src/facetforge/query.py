@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .core import Iri
-from .eg import EntityGraph, Literal
+from .eg import EntityGraph, Literal, Triple
 from .exports import render_term
 
 __all__ = ["BindingTable", "Query", "Variable", "run_query"]
@@ -72,7 +72,7 @@ class BindingTable:
 
 
 def _scan(
-    triples: list[tuple[Term, Term, Term]], pattern: Pattern
+    triples: Sequence[Triple], pattern: Pattern
 ) -> tuple[list[str], list[tuple[Term, ...]]]:
     """Bindings of one pattern on its own, in time linear in the triples.
 
@@ -98,20 +98,20 @@ def _scan(
 def run_query(eg: EntityGraph, query: Query) -> BindingTable:
     """Evaluate a conjunctive query; rows deduplicated and canonically sorted.
 
-    Each pattern is matched on its own in one pass over the triples, and the
-    matches are hash-joined on the variables they share with the rows so far.
+    Each pattern is matched on its own in one pass over the graph's triples,
+    read in place (a triple is a tuple, indexed by position), and the matches
+    are hash-joined on the variables they share with the rows so far.
     Patterns sharing a variable with those rows go before patterns sharing
     none, the one with the fewest matches first.  Cost is O(patterns x
-    triples + rows); nothing is kept between calls.
+    triples + rows); no index is built or kept.
 
     A variable-free query yields a zero-column table with one row iff every
     pattern is a triple of the graph.
     """
     columns = tuple(query.variables())
-    triples = [(t.subject, t.predicate, t.object) for t in eg.triples]
     pending = []
     for pattern in query.patterns:
-        names, matches = _scan(triples, pattern)
+        names, matches = _scan(eg.triples, pattern)
         if not matches:
             return BindingTable(columns, ())
         pending.append((names, matches))

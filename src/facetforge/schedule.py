@@ -70,9 +70,12 @@ class FacetCategory:
 
     The category indexes its concepts once, when it is built: ``_by_id`` maps
     each id to its concept (the last one stored wins when a directly built
-    category repeats an id) and ``_children`` maps each parent id to its
-    children in stored order, with the roots under ``None``.  The index is
-    never changed afterwards and takes no part in ``==``, ``hash`` or ``repr``.
+    category repeats an id), ``_children`` maps each parent id to its
+    children in stored order, with the roots under ``None``, and
+    ``_segments`` maps each parent id to its children's longest notation
+    segment and to its children by segment (``None`` for a segment two of
+    them share).  The index is never changed afterwards and takes no part
+    in ``==``, ``hash`` or ``repr``.
     """
 
     code: str
@@ -81,6 +84,9 @@ class FacetCategory:
     concepts: tuple[Concept, ...] = ()
     _by_id: dict[str, Concept] = field(init=False, repr=False, compare=False)
     _children: dict[str | None, tuple[Concept, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _segments: dict[str | None, tuple[int, dict[str, Concept | None]]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -96,6 +102,13 @@ class FacetCategory:
         object.__setattr__(
             self, "_children", {parent: tuple(kids) for parent, kids in groups.items()}
         )
+        segments = {}
+        for parent, kids in groups.items():
+            by_segment: dict[str, Concept | None] = {}
+            for kid in kids:
+                by_segment[kid.notation] = None if kid.notation in by_segment else kid
+            segments[parent] = (max(map(len, by_segment)), by_segment)
+        object.__setattr__(self, "_segments", segments)
 
     def roots(self) -> list[Concept]:
         return list(self._children.get(None, ()))
@@ -553,27 +566,34 @@ def resolve_notation(
 
 
 def _resolve_in_category(category: FacetCategory, notation: str) -> list[Concept]:
-    level = category._children.get(None, ())
+    """Each level takes the sibling whose segment is the longest prefix of
+    what is left, found by probing those prefixes longest first."""
+    parent = None
     remaining = notation
     path: list[Concept] = []
     while remaining:
-        candidates = [c for c in level if remaining.startswith(c.notation)]
-        if not candidates:
+        longest, level = category._segments.get(parent, _NO_CHILDREN)
+        for length in range(min(longest, len(remaining)), 0, -1):
+            segment = remaining[:length]
+            if segment in level:
+                break
+        else:
             raise ValueError(
                 f"category {category.code}: no concept matches notation {notation!r}"
             )
-        longest = max(len(c.notation) for c in candidates)
-        best = [c for c in candidates if len(c.notation) == longest]
-        if len(best) > 1:
-            ids = sorted(c.id for c in best)
+        chosen = level[segment]
+        if chosen is None:
+            ids = sorted(c.id for c in category._children[parent] if c.notation == segment)
             raise ValueError(
                 f"category {category.code}: notation {notation!r} is ambiguous between {ids}"
             )
-        chosen = best[0]
         path.append(chosen)
-        remaining = remaining[len(chosen.notation):]
-        level = category._children.get(chosen.id, ())
+        remaining = remaining[length:]
+        parent = chosen.id
     return path
+
+
+_NO_CHILDREN: tuple[int, dict[str, Concept | None]] = (0, {})
 
 
 def children(schedule: ClassificationSchedule, concept_id: str) -> list[Concept]:

@@ -680,3 +680,87 @@ def scan_effective(etg: EntityTypeGraph, type_id: str, properties: tuple) -> dic
             if prop.domain == entity_type.id and prop.name not in effective:
                 effective[prop.name] = prop
     return effective
+
+
+def scan_resolve_in_category(category: FacetCategory, notation: str) -> list[Concept]:
+    """Each level compares what is left of *notation* with every sibling."""
+    level = scan_roots(category)
+    remaining = notation
+    path: list[Concept] = []
+    while remaining:
+        candidates = [c for c in level if remaining.startswith(c.notation)]
+        if not candidates:
+            raise ValueError(
+                f"category {category.code}: no concept matches notation {notation!r}"
+            )
+        longest = max(len(c.notation) for c in candidates)
+        best = [c for c in candidates if len(c.notation) == longest]
+        if len(best) > 1:
+            ids = sorted(c.id for c in best)
+            raise ValueError(
+                f"category {category.code}: notation {notation!r} is ambiguous between {ids}"
+            )
+        chosen = best[0]
+        path.append(chosen)
+        remaining = remaining[len(chosen.notation):]
+        level = scan_children_of(category, chosen.id)
+    return path
+
+
+# ---------------------------------------------------------------------------
+# Built graphs whose short names collide, and the name resolution that
+# rescanned the graph for each query, kept as an oracle
+
+COLLIDING_IDS = (
+    "name", "title", "author", "type", "Person", "Place", "Organization", "Publication",
+    "x1", "x2", "b.1", "a-b",
+)
+
+
+def random_du_tables(rng: random.Random) -> dict[str, list[dict[str, str]]]:
+    """Tables for the fixture mapping spec whose ids are drawn from
+    COLLIDING_IDS: an id may equal a property name or a type name, and one
+    id may be used by datasets of two types.  Every link has a target."""
+    alphabet = ["a", "Z", " ", "\\", '"', "\n", "\t", "^", "é"]
+
+    def text() -> str:
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+
+    def ids() -> list[str]:
+        return rng.sample(COLLIDING_IDS, rng.randint(1, 4))
+
+    def link(targets: list[str]) -> str:
+        return rng.choice(targets) if rng.random() < 0.8 else ""
+
+    people, orgs, places = ids(), ids(), ids()
+    return {
+        "books": [
+            {"id": book, "title": text(), "date": rng.choice(["1973", "2001-05-06", "soon"]),
+             "pages": rng.choice(["290", "12", "many"]), "author": link(people),
+             "publisher": link(orgs)}
+            for book in ids()
+        ],
+        "people": [{"id": person, "name": text()} for person in people],
+        "orgs": [
+            {"id": org, "name": text(), "hq": link(places), "founder": link(people)}
+            for org in orgs
+        ],
+        "places": [{"id": place, "name": text()} for place in places],
+    }
+
+
+def scan_resolve_names(eg: EntityGraph, names: set[str]) -> dict[str, list[str]]:
+    """Graph IRIs whose last segment is each short name, from one pass."""
+    found: dict[str, list[str]] = {name: [] for name in names}
+    if found:
+        iris = {
+            term.value
+            for triple in eg.triples
+            for term in (triple.subject, triple.predicate, triple.object)
+            if isinstance(term, Iri)
+        }
+        for value in iris:
+            hits = found.get(value.rsplit("/", 1)[-1])
+            if hits is not None:
+                hits.append(value)
+    return {name: sorted(hits) for name, hits in found.items()}

@@ -248,6 +248,47 @@ class TestEgQueryErrors:
         assert capsys.readouterr().out == "?b\n<https://ex.org/du/Publication/b1>\n"
 
 
+class TestEgQueryLiterals:
+    """A two-triple graph whose title needs every escape the exporter writes."""
+
+    TITLE = 'tab\there, "quoted"\nline\r\\'
+
+    @pytest.fixture()
+    def graph_file(self, tmp_path):
+        document = {
+            "metadata": {"iri": "https://ex.org/du/eg/2024-01-01T00-00-00Z",
+                         "timestamp": "2024-01-01T00:00:00Z", "sources": []},
+            "entities": [{"iri": "https://ex.org/du/Publication/b1", "type": "Publication",
+                          "values": [{"property": "title", "datatype": "string",
+                                      "value": self.TITLE}]}],
+            "links": [],
+        }
+        path = tmp_path / "eg.json"
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    def test_rendered_literal_reads_back(self, graph_file, capsys):
+        assert main(["eg", "export", "--format", "nt", graph_file]) == 0
+        title_line = [line for line in capsys.readouterr().out.splitlines() if "/title>" in line]
+        literal = title_line[0].split("> ", 2)[2][:-2]
+        assert literal == (
+            '"tab\\there, \\"quoted\\"\\nline\\r\\\\"^^<http://www.w3.org/2001/XMLSchema#string>'
+        )
+        for text in (f"<b1> <title> {literal} .", f"<b1> <title> {literal.split('^^')[0]} ."):
+            assert main(["eg", "query", graph_file, text]) == 0
+            assert capsys.readouterr().out == "true\n"
+        assert main(["eg", "query", graph_file, '<b1> <title> "tab\\there" .']) == 0
+        assert capsys.readouterr().out == "false\n"
+
+    def test_unknown_escape_is_usage_error(self, graph_file, capsys):
+        assert main(["eg", "query", graph_file, '?b <title> "a\\x" .']) == 2
+        assert capsys.readouterr().err == "error: query: bad escape \\x in literal\n"
+
+    def test_escaped_closing_quote_leaves_literal_unterminated(self, graph_file, capsys):
+        assert main(["eg", "query", graph_file, '?b <title> "a\\" .']) == 2
+        assert capsys.readouterr().err == "error: query: unterminated literal\n"
+
+
 class TestMalformedDocuments:
     def write(self, tmp_path, name, data):
         path = tmp_path / name

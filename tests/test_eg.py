@@ -16,7 +16,12 @@ from facetforge.eg import (
     read_table,
 )
 from facetforge.etg import DataProperty, EntityType, ground
-from facetforge.exports import export_jsongraph, export_ntriples, load_entity_graph_json
+from facetforge.exports import (
+    export_jsongraph,
+    export_ntriples,
+    load_entity_graph_json,
+    parse_ntriples,
+)
 from facetforge.fixtures import fixture_text
 from helpers import AT, BASE
 
@@ -25,6 +30,44 @@ def mapping_document(**overrides):
     data = json.loads(fixture_text("du.mapping.json"))
     data.update(overrides)
     return data
+
+
+class TestTripleContract:
+    S = Iri("https://ex.org/du/Publication/b1")
+    P = Iri("https://ex.org/du/prop/title")
+    O = Literal("Small", "string")
+
+    def test_a_named_tuple_of_three_terms(self):
+        triple = Triple(self.S, self.P, self.O)
+        assert Triple._fields == ("subject", "predicate", "object")
+        assert (triple.subject, triple.predicate, triple.object) == (self.S, self.P, self.O)
+        assert repr(triple) == (
+            "Triple(subject=Iri(value='https://ex.org/du/Publication/b1'),"
+            " predicate=Iri(value='https://ex.org/du/prop/title'),"
+            " object=Literal(text='Small', datatype='string'))"
+        )
+        assert triple == Triple(subject=self.S, predicate=self.P, object=self.O)
+        assert triple == (self.S, self.P, self.O)
+        assert hash(triple) == hash((self.S, self.P, self.O))
+        assert triple._replace(object=self.S) == Triple(self.S, self.P, self.S)
+        with pytest.raises(AttributeError):
+            triple.subject = self.P
+
+    def test_sort_key(self):
+        assert Triple(self.S, self.P, self.O).sort_key() == (
+            self.S.value, self.P.value, ("lit", "string", "Small")
+        )
+        assert Triple(self.S, self.P, self.S).sort_key() == (
+            self.S.value, self.P.value, ("iri", self.S.value, "")
+        )
+
+    def test_both_loaders_give_back_triples(self, figure_eg):
+        loaded = load_entity_graph_json(export_jsongraph(figure_eg))
+        parsed = parse_ntriples(export_ntriples(figure_eg))
+        assert loaded.triples == figure_eg.triples
+        assert sorted(parsed, key=Triple.sort_key) == list(figure_eg.triples)
+        for triples in (figure_eg.triples, loaded.triples, parsed):
+            assert {type(t) for t in triples} == {Triple}
 
 
 class TestLoadMappingSpec:

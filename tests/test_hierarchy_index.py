@@ -4,13 +4,23 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
 from facetforge.fixtures import fixture_text
 from facetforge.lexsem import resolve_sense
 from facetforge.ontology import LightweightOntology, OntologyNode, validate_backbone
-from facetforge.schedule import children, full_notation, load_schedule
+from facetforge.core import Label
+from facetforge.schedule import (
+    Concept,
+    FacetCategory,
+    children,
+    full_notation,
+    load_schedule,
+    resolve_notation,
+)
+from facetforge.schedule import _resolve_in_category
 from helpers import (
     random_etg,
     random_lexicon,
@@ -22,6 +32,7 @@ from helpers import (
     scan_effective,
     scan_full_notation,
     scan_ontology_children,
+    scan_resolve_in_category,
     scan_resolve_sense,
     scan_root_of,
     scan_roots,
@@ -63,13 +74,69 @@ class TestScheduleIndex:
                 )
         assert repeated >= 50 and looped >= 10
 
+    def test_resolution_matches_sibling_scan(self):
+        """Tangled categories repeat segments (two siblings "1") and are not
+        prefix-free ("1" and "12" side by side)."""
+        rng = random.Random(11)
+        outcomes = {"resolved": 0, "no match": 0, "ambiguous": 0}
+        for seed in range(300):
+            schedule = random_tangled_schedule(random.Random(seed))
+            for category in schedule.categories:
+                notations = {
+                    "".join(rng.choice("123AB") for _ in range(rng.randint(1, 6)))
+                    for _ in range(20)
+                }
+                for concept in category.concepts:
+                    notation = outcome(scan_full_notation, category, concept)
+                    if isinstance(notation, str):
+                        notations.update((notation, notation + "2", notation[:-1] or "9"))
+                for notation in sorted(notations):
+                    expected = outcome(scan_resolve_in_category, category, notation)
+                    assert outcome(resolve_notation, schedule, notation, category.code) == expected
+                    if isinstance(expected, list):
+                        outcomes["resolved"] += 1
+                    else:
+                        outcomes["ambiguous" if "ambiguous" in expected[1] else "no match"] += 1
+        assert min(outcomes.values()) >= 1000, outcomes
+
+    def test_resolution_in_wide_arrays_matches_sibling_scan(self):
+        """3000 roots whose segments overlap as prefixes, a few of them
+        repeated, with 3000 children spread under them."""
+        rng = random.Random(12)
+        segments: set[str] = set()
+        while len(segments) < 3000:
+            segments.add("".join(rng.choice("0123456789") for _ in range(rng.randint(1, 5))))
+        roots = sorted(segments) + rng.sample(sorted(segments), 30)
+        concepts = [
+            Concept(f"r{n}", notation, Label(f"R {n}"), ("division-0", f"r{n}"))
+            for n, notation in enumerate(roots)
+        ]
+        concepts += [
+            Concept(f"k{n}", rng.choice(["0", "1", "01", "10", "2"]), Label(f"K {n}"),
+                    ("division-0", f"k{n}"), parent=rng.choice(concepts).id)
+            for n in range(3000)
+        ]
+        category = FacetCategory("P", ",", "division-0", tuple(concepts))
+        notations = [c.notation + rng.choice(["", "0", "1", "01", "9"]) for c in concepts[:3030]]
+        notations += ["".join(rng.choice("0123456789") for _ in range(8)) for _ in range(300)]
+        outcomes = Counter()
+        for notation in notations:
+            expected = outcome(scan_resolve_in_category, category, notation)
+            assert outcome(_resolve_in_category, category, notation) == expected
+            if isinstance(expected, list):
+                outcomes[f"depth {len(expected)}"] += 1
+            else:
+                outcomes["ambiguous" if "ambiguous" in expected[1] else "no match"] += 1
+        assert len(outcomes) == 4 and min(outcomes.values()) >= 20, outcomes
+
     def test_two_loads_compare_equal_and_hash_alike(self):
         first = load_schedule(fixture_text("med.schedule.json"))
         second = load_schedule(fixture_text("med.schedule.json"))
         assert first is not second
         assert first == second
         assert hash(first) == hash(second)
-        assert "_by_id" not in repr(first) and "_children" not in repr(first)
+        for index in ("_by_id", "_children", "_segments"):
+            assert index not in repr(first)
 
 
 class TestLexiconIndex:

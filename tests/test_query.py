@@ -2,21 +2,33 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from facetforge.cli import parse_query_text
 from facetforge.core import Iri
-from facetforge.eg import Literal
-from facetforge.exports import render_term
+from facetforge.eg import Literal, Triple, build_entity_graph
+from facetforge.exports import (
+    export_jsongraph,
+    export_ntriples,
+    load_entity_graph_json,
+    parse_ntriples,
+    render_term,
+)
 from facetforge.query import BindingTable, Query, Variable, run_query
 from helpers import (
+    AT,
     BASE,
     brute_force_query,
     nested_loop_query,
     random_anchored_query,
+    random_du_tables,
     random_entity_graph,
+    random_export_graph,
     random_query,
     random_wide_graph,
+    scan_resolve_names,
 )
 
 
@@ -178,3 +190,132 @@ class TestNestedLoopOracle:
                 matched.update(found)
         assert all(seen[name] >= 10 for name in self.FEATURES), seen
         assert all(matched[name] >= 3 for name in self.FEATURES[:-1]), matched
+
+
+def built_graphs(schema_graph, mapping_spec, seeds):
+    """Each seed's built graph, and the graphs its JSON and N-Triples
+    exports load back to."""
+    for seed in seeds:
+        tables = random_du_tables(random.Random(seed))
+        graph, _ = build_entity_graph(schema_graph, mapping_spec, tables, BASE, AT)
+        parsed = sorted(parse_ntriples(export_ntriples(graph)), key=Triple.sort_key)
+        yield graph
+        yield load_entity_graph_json(export_jsongraph(graph))
+        yield replace(graph, triples=tuple(parsed))
+
+
+class TestBuiltAndLoadedGraphs:
+    def test_matches_brute_force_enumeration(self, schema_graph, mapping_spec):
+        rng = random.Random(31)
+        cases = matched = 0
+        for graph in built_graphs(schema_graph, mapping_spec, range(40)):
+            for _ in range(6):
+                query = random_anchored_query(rng, graph, max_patterns=3)
+                if len(query.variables()) > 2:
+                    continue
+                columns, expected = brute_force_query(graph, query)
+                table = run_query(graph, query)
+                assert table.columns == columns
+                assert set(table.rows) == expected
+                cases += 1
+                matched += bool(expected)
+        assert cases >= 300 and matched >= 150
+
+
+class TestShortNames:
+    """The graph's short-name index against the scan each query used to make."""
+
+    def test_index_matches_scan_where_names_collide(self, schema_graph, mapping_spec):
+        collisions = Counter()
+        for graph in built_graphs(schema_graph, mapping_spec, range(60)):
+            names = {
+                term.value.rsplit("/", 1)[-1]
+                for triple in graph.triples
+                for term in triple
+                if isinstance(term, Iri)
+            }
+            names |= {"nobody", "prop", ""}
+            expected = scan_resolve_names(graph, names)
+            for name in sorted(names):
+                found = graph.short_names.get(name, ())
+                assert [term.value for term in found] == expected[name]
+                assert all(type(term) is Iri for term in found)
+                if len(found) > 1:
+                    kinds = Counter(term.value.split("/")[-2] for term in found)
+                    collisions["property"] += "prop" in kinds
+                    collisions["type"] += "type" in kinds
+                    collisions["two types"] += sum(
+                        count for kind, count in kinds.items() if kind not in ("prop", "type")
+                    ) > 1
+            assert set(graph.short_names) == {name for name in names if expected[name]}
+        assert min(collisions.values()) >= 30, collisions
+
+    def test_parse_errors_match_scan(self, schema_graph, mapping_spec):
+        for graph in built_graphs(schema_graph, mapping_spec, range(20)):
+            expected = scan_resolve_names(graph, {"name", "Person", "x1", "nobody"})
+            for name, iris in expected.items():
+                try:
+                    (pattern,) = parse_query_text(f"?s <{name}> ?o .", graph).patterns
+                    outcome = pattern[1].value
+                except ValueError as exc:
+                    outcome = str(exc)
+                if not iris:
+                    assert outcome == f"query: name {name!r} matches no term in the graph"
+                elif len(iris) > 1:
+                    assert outcome == f"query: name {name!r} is ambiguous: {iris}"
+                else:
+                    assert outcome == iris[0]
+
+    def test_index_takes_no_part_in_equality(self, figure_eg):
+        graph = replace(figure_eg)
+        assert graph.short_names["schumacher"] == (Iri(BASE.value + "/Person/schumacher"),)
+        assert graph == figure_eg and hash(graph) == hash(figure_eg)
+        assert repr(graph) == repr(figure_eg) and "short_names" not in repr(graph)
+
+    def test_names_resolve_without_reading_the_triples_again(self, figure_eg):
+        class CountingTriples(tuple):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        triples = CountingTriples(figure_eg.triples)
+        graph = replace(figure_eg, triples=triples)
+        text = "?b <author> <schumacher> . ?b <title> ?t . ?b <publisher> ?o ."
+        assert run_query(graph, parse_query_text(text, graph)) == run_query(
+            figure_eg, parse_query_text(text, figure_eg)
+        )
+        first = triples.iterations
+        assert first > 0
+        for _ in range(3):
+            parse_query_text(text, graph)
+        assert triples.iterations == first
+
+
+class TestQueryLiterals:
+    """Literals in query text read back what the exporter renders."""
+
+    def test_rendered_literals_hold_as_ask_queries(self):
+        rng = random.Random(21)
+        seen = Counter()
+        for _ in range(150):
+            graph = random_export_graph(rng, loadable=True)
+            for triple in graph.triples:
+                if not isinstance(triple.object, Literal):
+                    continue
+                text = " ".join(render_term(term) for term in triple) + " ."
+                assert run_query(graph, parse_query_text(text, graph)).holds(), text
+                seen.update(char for char in '\\"\n\r\t' if char in triple.object.text)
+                seen["ends in a backslash"] += triple.object.text.endswith("\\")
+        assert len(seen) == 6 and min(seen.values()) >= 20, seen
+
+    def test_plain_literal_with_escapes_and_carets(self, figure_eg):
+        literal = Literal('a\t"b"^^c\\', "string")
+        subject = Iri(BASE.value + "/Publication/b1")
+        predicate = Iri(BASE.value + "/prop/title")
+        graph = replace(figure_eg, triples=(Triple(subject, predicate, literal),))
+        typed = f"<b1> <title> {render_term(literal)} ."
+        for text in ('<b1> <title> "a\\t\\"b\\"^^c\\\\" .', typed):
+            (pattern,) = parse_query_text(text, graph).patterns
+            assert pattern == (subject, predicate, literal)
