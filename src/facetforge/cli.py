@@ -153,8 +153,7 @@ def _parse_literal_token(token: str) -> eg_mod.Literal:
         return eg_mod.Literal(text, "string")
     datatype = token[end + 2:]  # the tokenizer put "^^" after the closing quote
     if datatype.startswith("<"):
-        reverse = {iri: name for name, iri in exports.XSD.items()}
-        resolved = reverse.get(datatype[1:-1])
+        resolved = exports.XSD_NAMES.get(datatype[1:-1])
         if resolved is None:
             raise _UsageError(f"query: unsupported literal datatype {datatype}")
         return eg_mod.Literal(text, resolved)

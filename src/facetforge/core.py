@@ -10,7 +10,7 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "ERROR",
@@ -30,9 +30,12 @@ __all__ = [
     "format_timestamp",
     "has_errors",
     "mint_iri",
+    "parent_cycles",
     "parse_json",
     "parse_timestamp",
+    "shared_label_findings",
     "sort_findings",
+    "stopword_findings",
     "timestamp_identifier",
     "validate_identifier",
 ]
@@ -43,6 +46,7 @@ _IDENTIFIER_CHARS = frozenset(
 _IDENTIFIER_RE = re.compile(r"[A-Za-z0-9._-]+\Z")
 _IRI_RE = re.compile(r"([A-Za-z][A-Za-z0-9+.-]*)://([^/\s]+)(/\S+)\Z")
 _LANGUAGE_RE = re.compile(r"[A-Za-z]{2,8}(?:-[A-Za-z0-9]{1,8})*\Z")
+_WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
 
 class FormatError(ValueError):
@@ -419,3 +423,57 @@ def sort_findings(findings: Iterable[Finding]) -> list[Finding]:
 
 def has_errors(findings: Iterable[Finding]) -> bool:
     return any(f.severity == ERROR for f in findings)
+
+
+# ---------------------------------------------------------------------------
+# Checks that schedules, lexicons, ontologies and ETGs share: each is a tree
+# stored as members that name their parents.
+
+
+def parent_cycles(
+    members: Mapping[Hashable, Any], parent: Callable[[Any], Hashable | None]
+) -> Iterator[tuple[Hashable, list]]:
+    """Each cycle in *members*, a map from id to member whose parent id is
+    ``parent(member)``.
+
+    Walks up from each member in mapping order and stops at ``None``, at a
+    parent outside the map and at a member an earlier walk passed, so every
+    member is walked once; only the first walk to enter a cycle meets a
+    member twice.  Yields the last member walked before the repeat and the
+    cycle's members, sorted.
+    """
+    walk_of: dict = {}  # each member walked to the member its walk started from
+    for start in members:
+        trail = []
+        current = start
+        while current is not None and current in members and current not in walk_of:
+            walk_of[current] = start
+            trail.append(current)
+            last, current = current, parent(members[current])
+        if current in walk_of and walk_of[current] == start:  # this walk met itself
+            yield last, sorted(trail[trail.index(current):])
+
+
+def shared_label_findings(
+    code: str, where: str, members: Iterable[tuple[Hashable, str, str]]
+) -> Iterator[Finding]:
+    """A finding at ``where/id`` for each ``(parent, id, label)`` whose label,
+    stripped and lowercased, a sibling stored before it already has."""
+    first: dict[tuple[Hashable, str], str] = {}
+    for parent, member_id, label in members:
+        key = (parent, label.strip().lower())
+        if key in first:
+            yield finding(
+                code, f"{where}/{member_id}", f"label {label!r} shared with sibling {first[key]!r}"
+            )
+        else:
+            first[key] = member_id
+
+
+def stopword_findings(path: str, label: str, stoplist: set[str]) -> list[Finding]:
+    """A VP1 finding for each word of *label*, lowercased, that *stoplist* holds."""
+    words = {word.lower() for word in _WORD_RE.findall(label)}
+    return [
+        finding("VP1", path, f"label {label!r} contains stopword {word!r}")
+        for word in sorted(words & stoplist)
+    ]

@@ -10,12 +10,13 @@ lightweight ontology onto a lint-clean ETG.
 from __future__ import annotations
 
 import json
-import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from datetime import datetime, timezone
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
     Fields,
@@ -27,9 +28,12 @@ from .core import (
     finding,
     format_timestamp,
     has_errors,
+    parent_cycles,
     parse_json,
     parse_timestamp,
+    shared_label_findings,
     sort_findings,
+    stopword_findings,
     validate_identifier,
 )
 from .ontology import LightweightOntology
@@ -55,8 +59,6 @@ __all__ = [
 ]
 
 DATA_DATATYPES = ("string", "integer", "date", "iri")
-
-_WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -250,22 +252,15 @@ def load_etg(document: str | bytes) -> EntityTypeGraph:
             raise FormatError(f"ETG provenance: {exc}") from None
         provenance = Provenance(Identifier(source_id), at)
 
+    roots = [t.id for t in types if t.parent is None]
+    if types and len(roots) != 1:
+        raise FormatError(f"ETG {etg_id}: expected exactly one root, found {sorted(roots)}")
     etg = EntityTypeGraph(
         etg_id, tuple(types), tuple(data_properties), tuple(object_properties), provenance
     )
-    _check_tree(etg)
+    for last, _ in parent_cycles(etg._types, attrgetter("parent")):
+        raise FormatError(f"ETG {etg_id}: broken parent chain at {last!r}")
     return etg
-
-
-def _check_tree(etg: EntityTypeGraph) -> None:
-    roots = [t.id for t in etg.types if t.parent is None]
-    if etg.types and len(roots) != 1:
-        raise FormatError(f"ETG {etg.id}: expected exactly one root, found {sorted(roots)}")
-    for entity_type in etg.types:
-        try:
-            etg.chain(entity_type.id)
-        except ValueError as exc:  # a parent cycle
-            raise FormatError(str(exc)) from None
 
 
 def etg_to_json(etg: EntityTypeGraph) -> str:
@@ -314,98 +309,103 @@ class EtgLintConfig:
         return self.enabled is None or code in self.enabled
 
 
+class _Chain(NamedTuple):
+    """What the lint rules read of a type whose parent chain is whole."""
+
+    labels: int  # equal for two types exactly when their label paths are
+    identified: bool  # an identifying data property on the type or an ancestor
+    inherited: frozenset[str]  # items of the type's declarations an ancestor also has
+    redeclared: frozenset[str]  # names of the type's properties declared twice on its chain
+
+
+def _chains(etg: EntityTypeGraph) -> dict[str | None, _Chain]:
+    """The chain of each type, from one depth-first walk down from the roots.
+
+    The walk counts the differentiating items and property names declared
+    above the type it enters, so a type costs the length of its own lists
+    whatever its depth.  A type on a parent cycle or below a dangling parent
+    is never entered and has no chain.
+    """
+    below: dict[str | None, list[EntityType]] = {}
+    for entity_type in etg._types.values():
+        below.setdefault(entity_type.parent, []).append(entity_type)
+    items: dict[str, set[str]] = {}
+    for entity_type in etg.types:
+        items.setdefault(entity_type.id, set()).update(entity_type.differentiating)
+    items_above: Counter[str] = Counter()
+    names_above: Counter[str] = Counter()
+    label_paths: dict[tuple[int, str], int] = {}
+    chains: dict[str | None, _Chain] = {None: _Chain(-1, False, frozenset(), frozenset())}
+    stack = [(True, root) for root in below.get(None, ())]
+    while stack:
+        entering, entity_type = stack.pop()
+        data = etg._data_by_domain.get(entity_type.id, ())
+        names = [p.name for p in (*data, *etg._objects_by_domain.get(entity_type.id, ()))]
+        if not entering:
+            items_above.subtract(entity_type.differentiating)
+            names_above.subtract(names)
+            continue
+        above = chains[entity_type.parent]  # the entry under None stands above the roots
+        label_path = (above.labels, entity_type.label.text.strip().lower())
+        counts = Counter(names)
+        chains[entity_type.id] = _Chain(
+            label_paths.setdefault(label_path, len(label_paths)),
+            above.identified or any(p.identifying for p in data),
+            frozenset(item for item in items[entity_type.id] if items_above[item]),
+            frozenset(name for name in counts if counts[name] > 1 or names_above[name]),
+        )
+        items_above.update(entity_type.differentiating)
+        names_above.update(names)
+        stack.append((False, entity_type))
+        stack.extend((True, child) for child in below.get(entity_type.id, ()))
+    return chains
+
+
 def lint_etg(etg: EntityTypeGraph, config: EtgLintConfig | None = None) -> list[Finding]:
     """Apply the hierarchy rules and the property rules EP1-EP3 to *etg*."""
     config = config or EtgLintConfig()
     findings: list[Finding] = []
     index = etg.type_index()
-
-    def safe_chain(type_id: str) -> list[EntityType] | None:
-        try:
-            return etg.chain(type_id)
-        except ValueError:
-            return None
+    chains = _chains(etg)
 
     if config.rule_enabled("NP1"):
-        counts: dict[str, int] = {}
-        for entity_type in etg.types:
-            counts[entity_type.id] = counts.get(entity_type.id, 0) + 1
-        for type_id, count in counts.items():
+        for type_id, count in Counter(t.id for t in etg.types).items():
             if count > 1:
                 findings.append(
                     finding("NP1", f"types/{type_id}", f"type id declared {count} times")
                 )
 
     if config.rule_enabled("IC4"):
-        by_parent: dict[str | None, list[EntityType]] = {}
-        for entity_type in etg.types:
-            by_parent.setdefault(entity_type.parent, []).append(entity_type)
-        for siblings in by_parent.values():
-            labels: dict[str, str] = {}
-            for entity_type in siblings:
-                key = entity_type.label.text.strip().lower()
-                if key in labels:
-                    findings.append(
-                        finding(
-                            "IC4",
-                            f"types/{entity_type.id}",
-                            f"label {entity_type.label.text!r} shared with"
-                            f" sibling {labels[key]!r}",
-                        )
-                    )
-                else:
-                    labels[key] = entity_type.id
+        members = ((t.parent, t.id, t.label.text) for t in etg.types)
+        findings.extend(shared_label_findings("IC4", "types", members))
 
     if config.rule_enabled("NP2"):
-        paths: dict[tuple[str, ...], EntityType] = {}
+        first: dict[int, EntityType] = {}
         for entity_type in etg.types:
-            chain = safe_chain(entity_type.id)
+            chain = chains.get(entity_type.id)
             if chain is None:
                 continue
-            label_path = tuple(t.label.text.strip().lower() for t in reversed(chain))
-            other = paths.get(label_path)
-            if other is not None and other.parent != entity_type.parent:
-                findings.append(
-                    finding(
-                        "NP2",
-                        f"types/{entity_type.id}",
-                        f"label path {'/'.join(label_path)} also names {other.id!r}",
-                    )
-                )
-            elif other is None:
-                paths[label_path] = entity_type
+            other = first.setdefault(chain.labels, entity_type)
+            if other.parent != entity_type.parent:
+                labels = [t.label.text.strip().lower() for t in etg.chain(entity_type.id)]
+                message = f"label path {'/'.join(reversed(labels))} also names {other.id!r}"
+                findings.append(finding("NP2", f"types/{entity_type.id}", message))
 
     if config.rule_enabled("CH1"):
+        message = "type adds no differentiating item beyond its ancestors"
         for entity_type in etg.types:
             if entity_type.parent is None:
                 continue
-            chain = safe_chain(entity_type.id)
-            inherited: set[str] = set()
-            if chain is not None:
-                for ancestor in chain[1:]:
-                    inherited |= set(ancestor.differentiating)
-            added = set(entity_type.differentiating) - inherited
-            if not added:
-                findings.append(
-                    finding(
-                        "CH1",
-                        f"types/{entity_type.id}",
-                        "type adds no differentiating item beyond its ancestors",
-                    )
-                )
+            chain = chains.get(entity_type.id)
+            inherited = frozenset() if chain is None else chain.inherited
+            if set(entity_type.differentiating) <= inherited:
+                findings.append(finding("CH1", f"types/{entity_type.id}", message))
 
     if config.rule_enabled("VP1") and config.stoplist:
         stoplist = {word.lower() for word in config.stoplist}
         for entity_type in etg.types:
-            words = {w.lower() for w in _WORD_RE.findall(entity_type.label.text)}
-            for word in sorted(words & stoplist):
-                findings.append(
-                    finding(
-                        "VP1",
-                        f"types/{entity_type.id}",
-                        f"label {entity_type.label.text!r} contains stopword {word!r}",
-                    )
-                )
+            path = f"types/{entity_type.id}"
+            findings.extend(stopword_findings(path, entity_type.label.text, stoplist))
 
     if config.rule_enabled("EP2"):
         for prop in etg.data_properties:
@@ -429,48 +429,18 @@ def lint_etg(etg: EntityTypeGraph, config: EtgLintConfig | None = None) -> list[
                     )
 
     if config.rule_enabled("EP1"):
+        message = "no identifying data property on the type or its ancestors"
         for entity_type in etg.types:
-            chain = safe_chain(entity_type.id)
-            if chain is None:
-                continue
-            chain_ids = {t.id for t in chain}
-            identified = any(
-                p.identifying and p.domain in chain_ids for p in etg.data_properties
-            )
-            if not identified:
-                findings.append(
-                    finding(
-                        "EP1",
-                        f"types/{entity_type.id}",
-                        "no identifying data property on the type or its ancestors",
-                    )
-                )
+            chain = chains.get(entity_type.id)
+            if chain is not None and not chain.identified:
+                findings.append(finding("EP1", f"types/{entity_type.id}", message))
 
     if config.rule_enabled("EP3"):
         for entity_type in etg.types:
-            chain = safe_chain(entity_type.id)
-            if chain is None:
-                continue
-            own = [
-                p.name
-                for p in (*etg.data_properties, *etg.object_properties)
-                if p.domain == entity_type.id
-            ]
-            duplicated_here = {name for name in own if own.count(name) > 1}
-            ancestor_ids = {t.id for t in chain[1:]}
-            ancestor_names = {
-                p.name
-                for p in (*etg.data_properties, *etg.object_properties)
-                if p.domain in ancestor_ids
-            }
-            for name in sorted(set(own) & ancestor_names | duplicated_here):
-                findings.append(
-                    finding(
-                        "EP3",
-                        f"types/{entity_type.id}/{name}",
-                        f"property {name!r} redeclared along the inheritance chain",
-                    )
-                )
+            chain = chains.get(entity_type.id)
+            for name in sorted(chain.redeclared) if chain is not None else ():
+                message = f"property {name!r} redeclared along the inheritance chain"
+                findings.append(finding("EP3", f"types/{entity_type.id}/{name}", message))
 
     return sort_findings(findings)
 

@@ -36,6 +36,7 @@ from .eg import (
 
 __all__ = [
     "XSD",
+    "XSD_NAMES",
     "export_fca",
     "export_jsongraph",
     "export_ntriples",
@@ -51,7 +52,7 @@ XSD = {
     "integer": "http://www.w3.org/2001/XMLSchema#integer",
     "date": "http://www.w3.org/2001/XMLSchema#date",
 }
-_XSD_REVERSE = {iri: name for name, iri in XSD.items()}
+XSD_NAMES = {iri: name for name, iri in XSD.items()}  # each datatype IRI to its name
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
@@ -138,7 +139,7 @@ def _read_term(text: str, position: int) -> tuple[Iri | Literal, int]:
             raise FormatError("literal missing ^^<datatype>")
         end = text.index(">", cursor + 3)
         datatype_iri = text[cursor + 3:end]
-        datatype = _XSD_REVERSE.get(datatype_iri)
+        datatype = XSD_NAMES.get(datatype_iri)
         if datatype is None:
             raise FormatError(f"unsupported literal datatype {datatype_iri!r}")
         return Literal(value, datatype), end + 1

@@ -8,9 +8,10 @@ set it apart from its genus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping
 
-from .core import Fields, FormatError, parse_json
+from .core import Fields, FormatError, parent_cycles, parse_json
 
 __all__ = [
     "CatalogueEntry",
@@ -147,22 +148,8 @@ def _check_hierarchy(tag: str, synsets: Mapping[str, Synset]) -> None:
                 f"language {tag}: non-root synset {synset.id} has empty differentia"
             )
 
-    # Cycle detection with member reporting.
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-    for start in synsets:
-        if state.get(start) == 1:
-            continue
-        trail: list[str] = []
-        current: str | None = start
-        while current is not None and state.get(current) != 1:
-            if state.get(current) == 0:
-                members = sorted(trail[trail.index(current):])
-                raise FormatError(f"language {tag}: genus cycle {{{', '.join(members)}}}")
-            state[current] = 0
-            trail.append(current)
-            current = synsets[current].genus
-        for node in trail:
-            state[node] = 1
+    for _, members in parent_cycles(synsets, attrgetter("genus")):
+        raise FormatError(f"language {tag}: genus cycle {{{', '.join(members)}}}")
 
     roots = [s.id for s in synsets.values() if s.genus is None]
     if synsets and len(roots) != 1:
@@ -189,8 +176,13 @@ def hypernym_path(resource: LexicalSemanticResource, synset_id: str) -> list[Syn
         raise ValueError(f"unknown synset {synset_id!r}")
     if len(holders) > 1:
         raise ValueError(f"synset {synset_id!r} is ambiguous across languages {holders}")
-    synsets = resource.hierarchies[holders[0]]
+    tag = holders[0]
+    synsets = resource.hierarchies[tag]
     path = [synsets[synset_id]]
-    while path[-1].genus is not None:
-        path.append(synsets[path[-1].genus])
+    while (genus := path[-1].genus) is not None:
+        if genus not in synsets:
+            raise ValueError(f"language {tag}: synset {path[-1].id} has dangling genus {genus!r}")
+        if len(path) == len(synsets):  # the path has gone round a cycle
+            raise ValueError(f"language {tag}: genus chain of synset {synset_id} has a cycle")
+        path.append(synsets[genus])
     return path

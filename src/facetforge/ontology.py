@@ -10,9 +10,19 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping
 
-from .core import Fields, Finding, FormatError, finding, parse_json, sort_findings
+from .core import (
+    Fields,
+    Finding,
+    FormatError,
+    finding,
+    parent_cycles,
+    parse_json,
+    shared_label_findings,
+    sort_findings,
+)
 from .lexsem import LexicalSemanticResource, hypernym_path, resolve_sense
 
 __all__ = [
@@ -245,44 +255,13 @@ def validate_backbone(ontology: LightweightOntology) -> list[Finding]:
             findings.append(
                 finding("LO3", f"nodes/{node.id}", f"dangling parent {node.parent!r}")
             )
-    # Each walk up the parent chain stops at a node an earlier walk passed,
-    # so every node is walked once; a cycle shows as a node met twice in one
-    # walk, and only the first walk to enter a cycle meets it.
-    walked: set[str] = set()
-    for node in nodes.values():
-        position: dict[str, int] = {}
-        current: str | None = node.id
-        while current is not None and current in nodes and current not in walked:
-            if current in position:
-                members = sorted(list(position)[position[current]:])
-                findings.append(
-                    finding(
-                        "LO3", f"nodes/{members[0]}", f"parent cycle {{{', '.join(members)}}}"
-                    )
-                )
-                break
-            position[current] = len(position)
-            current = nodes[current].parent
-        walked.update(position)
-
-    by_parent: dict[str | None, list[OntologyNode]] = {}
-    for node in nodes.values():
-        by_parent.setdefault(node.parent, []).append(node)
-    for parent, siblings in by_parent.items():
-        labels: dict[str, str] = {}
-        for node in siblings:
-            key = node.label.strip().lower()
-            if key in labels:
-                findings.append(
-                    finding(
-                        "LO4",
-                        f"nodes/{node.id}",
-                        f"label {node.label!r} shared with sibling {labels[key]!r}",
-                    )
-                )
-            else:
-                labels[key] = node.id
-
+    for _, members in parent_cycles(nodes, attrgetter("parent")):
+        findings.append(
+            finding("LO3", f"nodes/{members[0]}", f"parent cycle {{{', '.join(members)}}}")
+        )
+    findings.extend(
+        shared_label_findings("LO4", "nodes", ((n.parent, n.id, n.label) for n in nodes.values()))
+    )
     return sort_findings(findings)
 
 

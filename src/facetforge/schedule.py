@@ -8,11 +8,21 @@ conservative formalization so that findings are stable test targets.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
-from .core import Fields, Finding, FormatError, Label, finding, parse_json, sort_findings
+from .core import (
+    Fields,
+    Finding,
+    FormatError,
+    Label,
+    finding,
+    parent_cycles,
+    parse_json,
+    sort_findings,
+    stopword_findings,
+)
 
 __all__ = [
     "INDICATORS",
@@ -29,8 +39,6 @@ __all__ = [
 ]
 
 INDICATORS = (",", ";", ":", ".", "'")
-
-_WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
 
 @dataclass(frozen=True)
@@ -297,11 +305,8 @@ def _check_category_shape(category: FacetCategory) -> None:
     Sibling segments must be prefix-free: longest-match resolution is exact
     only under that restriction, and class-number parsing relies on it.
     """
-    for concept in category.concepts:
-        try:
-            _path_to_root(category, concept)
-        except ValueError as exc:  # a parent cycle
-            raise FormatError(str(exc)) from None
+    for last, _ in parent_cycles(category._by_id, attrgetter("parent")):
+        raise FormatError(f"category {category.code}: broken parent chain at {last!r}")
     _check_siblings(category, category.roots())
     for concept in category.concepts:
         kids = category._children.get(concept.id)
@@ -485,17 +490,11 @@ def _lint_reticence(schedule: ClassificationSchedule, findings: list[Finding]) -
     if not stoplist:
         return
 
-    def check(path: str, label: Label) -> None:
-        words = {w.lower() for w in _WORD_RE.findall(label.text)}
-        for word in sorted(words & stoplist):
-            findings.append(
-                finding("VP1", path, f"label {label.text!r} contains stopword {word!r}")
-            )
-
-    check(schedule.base.id, schedule.base.label)
+    findings.extend(stopword_findings(schedule.base.id, schedule.base.label.text, stoplist))
     for category in schedule.categories:
         for concept in category.concepts:
-            check(concept_path(category, concept), concept.label)
+            path = concept_path(category, concept)
+            findings.extend(stopword_findings(path, concept.label.text, stoplist))
 
 
 def _lint_synonym(schedule: ClassificationSchedule, findings: list[Finding]) -> None:

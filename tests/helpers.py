@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import random
+import re
 from datetime import datetime, timezone
 
 from facetforge.core import (
@@ -764,3 +765,315 @@ def scan_resolve_names(eg: EntityGraph, names: set[str]) -> dict[str, list[str]]
             if hits is not None:
                 hits.append(value)
     return {name: sorted(hits) for name, hits in found.items()}
+
+
+# ---------------------------------------------------------------------------
+# Seeded documents whose hierarchies may close parent cycles, the per-member
+# chain walks and the state-colouring walk that the loaders once made, and
+# ``lint_etg`` as it walked each type's chain and scanned every property
+
+
+def _random_parents(rng: random.Random, ids: list[str]) -> dict[str, str | None]:
+    """Parents drawn from earlier ids, with a few extra roots; then up to
+    three loops, each closed by pointing an ancestor of a member at it."""
+    parents: dict[str, str | None] = {
+        node: rng.choice(ids[:position]) if position and rng.random() < 0.99 else None
+        for position, node in enumerate(ids)
+    }
+    for _ in range(rng.randint(0, 3)):
+        node = above = rng.choice(ids)
+        for _ in range(rng.randint(0, 4)):
+            if parents[above] in (None, ids[0]):
+                break
+            above = parents[above]
+        parents[above] = node
+    return parents
+
+
+def _shuffled(rng: random.Random, ids: list[str]) -> list[str]:
+    order = ids[:]
+    rng.shuffle(order)
+    return order
+
+
+def random_cyclic_schedule_document(rng: random.Random) -> str:
+    """A schedule whose only possible load error is a parent cycle."""
+    categories = []
+    for index, code in enumerate(rng.sample("ABCDE", rng.randint(1, 3))):
+        ids = [f"{code.lower()}{i}" for i in range(rng.randint(1, 25))]
+        parents = _random_parents(rng, ids)
+        categories.append({
+            "code": code, "indicator": _INDICATORS[index], "characteristic": f"c{index}",
+            "concepts": [
+                {"id": concept_id, "notation": f"{serial:03d}", "label": f"Concept {serial}",
+                 "value": str(serial), "parent": parents[concept_id], "ordinal": serial}
+                for serial, concept_id in enumerate(_shuffled(rng, ids))
+            ],
+        })
+    return json.dumps({
+        "id": "S", "base": {"id": "base", "notation": "L", "label": "Base"},
+        "succession": ["c0", "c1", "c2"], "categories": categories,
+    })
+
+
+def scan_schedule_load_error(document: str) -> str | None:
+    """The broken chain of the first concept, in stored order, that has one."""
+    raw = json.loads(document)
+    for category_raw in raw["categories"]:
+        characteristic = category_raw["characteristic"]
+        concepts = tuple(
+            Concept(c["id"], c["notation"], Label(c["label"]), (characteristic, c["value"]),
+                    c["parent"])
+            for c in category_raw["concepts"]
+        )
+        category = FacetCategory(
+            category_raw["code"], category_raw["indicator"], characteristic, concepts
+        )
+        for concept in concepts:
+            try:
+                scan_full_notation(category, concept)
+            except ValueError as exc:
+                return str(exc)
+    return None
+
+
+def random_cyclic_etg_document(rng: random.Random) -> str:
+    """An ETG whose only possible load errors are its root count and a cycle."""
+    ids = [f"T{i}" for i in range(rng.randint(1, 25))]
+    parents = _random_parents(rng, ids)
+    types = [
+        {"id": type_id, "label": type_id, "parent": parents[type_id]}
+        for type_id in _shuffled(rng, ids)
+    ]
+    return json.dumps({"id": "E", "types": types})
+
+
+def scan_etg_load_error(document: str) -> str | None:
+    raw = json.loads(document)
+    roots = sorted(t["id"] for t in raw["types"] if t["parent"] is None)
+    if len(roots) != 1:
+        return f"ETG {raw['id']}: expected exactly one root, found {roots}"
+    etg = EntityTypeGraph(
+        raw["id"], tuple(EntityType(t["id"], Label(t["label"]), t["parent"]) for t in raw["types"])
+    )
+    for entity_type in etg.types:
+        try:
+            scan_chain(etg, entity_type.id)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def random_cyclic_lexsem_document(rng: random.Random) -> str:
+    """A lexicon whose only possible load errors are root counts and cycles."""
+    languages = {}
+    for tag in rng.sample(["en", "de", "it"], rng.randint(1, 3)):
+        ids = [f"{tag}{i}" for i in range(rng.randint(1, 25))]
+        parents = _random_parents(rng, ids)
+        languages[tag] = {"synsets": [
+            {"id": synset_id, "lemmas": [f"w{synset_id}"], "genus": parents[synset_id],
+             "differentia": ["d"] if parents[synset_id] else []}
+            for synset_id in _shuffled(rng, ids)
+        ]}
+    return json.dumps({"id": "L", "languages": languages})
+
+
+def scan_genus_cycle(tag: str, synsets: dict[str, Synset]) -> str | None:
+    """Colour each synset visiting, then done, while walking up from it; a
+    synset met while still visiting closes a cycle."""
+    state: dict[str, int] = {}  # 0 visiting, 1 done
+    for start in synsets:
+        if state.get(start) == 1:
+            continue
+        trail: list[str] = []
+        current: str | None = start
+        while current is not None and state.get(current) != 1:
+            if state.get(current) == 0:
+                members = sorted(trail[trail.index(current):])
+                return f"language {tag}: genus cycle {{{', '.join(members)}}}"
+            state[current] = 0
+            trail.append(current)
+            current = synsets[current].genus
+        for node in trail:
+            state[node] = 1
+    return None
+
+
+def scan_lexsem_load_error(document: str) -> str | None:
+    for tag, language in json.loads(document)["languages"].items():
+        synsets = {
+            s["id"]: Synset(s["id"], tag, tuple(s["lemmas"]), "", s["genus"], tuple(s["differentia"]))
+            for s in language["synsets"]
+        }
+        cycle = scan_genus_cycle(tag, synsets)
+        if cycle is not None:
+            return cycle
+        roots = sorted(s.id for s in synsets.values() if s.genus is None)
+        if len(roots) != 1:
+            return f"language {tag}: expected exactly one root, found {roots}"
+    return None
+
+
+def random_lint_etg(rng: random.Random) -> EntityTypeGraph:
+    """Like ``random_etg``, with clashing labels, differentiating items,
+    identifying data properties and dangling parents and domains."""
+    ids = [f"T{i}" for i in range(rng.randint(1, 12))]
+    types = []
+    for position, type_id in enumerate(ids):
+        parent = rng.choice(ids[:position]) if position and rng.random() < 0.85 else None
+        if rng.random() < 0.08:
+            parent = rng.choice([*ids, "absent"])  # may close a loop or dangle
+        types.append(EntityType(
+            type_id, Label(rng.choice(["a", "B", "b ", "the a", type_id])), parent,
+            tuple(rng.sample("pqrs", rng.randint(0, 2))),
+        ))
+    for _ in range(rng.randint(0, 2)):
+        types.insert(rng.randrange(len(types) + 1), EntityType(
+            rng.choice(ids), Label("twin"), rng.choice([None, *ids]),
+            tuple(rng.sample("pqrs", rng.randint(0, 2))),
+        ))
+    names = ["name", "title", "size", "link"]
+    data = [
+        DataProperty(rng.choice(names), rng.choice([*ids, "absent"]), "string", rng.random() < 0.3)
+        for _ in range(rng.randint(0, 10))
+    ]
+    objects = [
+        ObjectProperty(rng.choice(names), rng.choice(ids), rng.choice([*ids, "absent"]))
+        for _ in range(rng.randint(0, 10))
+    ]
+    return EntityTypeGraph("random", tuple(types), tuple(data), tuple(objects))
+
+
+_SCAN_WORD_RE = re.compile(r"[A-Za-z0-9]+")
+
+
+def scan_lint_etg(etg: EntityTypeGraph, config=None) -> list[Finding]:
+    """``lint_etg`` as it walked each type's chain for NP2, CH1, EP1 and EP3,
+    and scanned every property for each type in EP1 and EP3."""
+    enabled = config.enabled if config is not None else None
+    stoplist = config.stoplist if config is not None else frozenset()
+    findings: list[Finding] = []
+    index = {}
+    for entity_type in etg.types:
+        index.setdefault(entity_type.id, entity_type)
+
+    def rule_enabled(code: str) -> bool:
+        return enabled is None or code in enabled
+
+    def safe_chain(type_id: str) -> list[EntityType] | None:
+        try:
+            return scan_chain(etg, type_id)
+        except ValueError:
+            return None
+
+    if rule_enabled("NP1"):
+        counts: dict[str, int] = {}
+        for entity_type in etg.types:
+            counts[entity_type.id] = counts.get(entity_type.id, 0) + 1
+        for type_id, count in counts.items():
+            if count > 1:
+                findings.append(
+                    finding("NP1", f"types/{type_id}", f"type id declared {count} times")
+                )
+
+    if rule_enabled("IC4"):
+        by_parent: dict[str | None, list[EntityType]] = {}
+        for entity_type in etg.types:
+            by_parent.setdefault(entity_type.parent, []).append(entity_type)
+        for siblings in by_parent.values():
+            labels: dict[str, str] = {}
+            for entity_type in siblings:
+                key = entity_type.label.text.strip().lower()
+                if key in labels:
+                    findings.append(finding(
+                        "IC4", f"types/{entity_type.id}",
+                        f"label {entity_type.label.text!r} shared with sibling {labels[key]!r}",
+                    ))
+                else:
+                    labels[key] = entity_type.id
+
+    if rule_enabled("NP2"):
+        paths: dict[tuple[str, ...], EntityType] = {}
+        for entity_type in etg.types:
+            chain = safe_chain(entity_type.id)
+            if chain is None:
+                continue
+            label_path = tuple(t.label.text.strip().lower() for t in reversed(chain))
+            other = paths.get(label_path)
+            if other is not None and other.parent != entity_type.parent:
+                findings.append(finding(
+                    "NP2", f"types/{entity_type.id}",
+                    f"label path {'/'.join(label_path)} also names {other.id!r}",
+                ))
+            elif other is None:
+                paths[label_path] = entity_type
+
+    if rule_enabled("CH1"):
+        for entity_type in etg.types:
+            if entity_type.parent is None:
+                continue
+            chain = safe_chain(entity_type.id)
+            inherited: set[str] = set()
+            if chain is not None:
+                for ancestor in chain[1:]:
+                    inherited |= set(ancestor.differentiating)
+            if not set(entity_type.differentiating) - inherited:
+                findings.append(finding(
+                    "CH1", f"types/{entity_type.id}",
+                    "type adds no differentiating item beyond its ancestors",
+                ))
+
+    if rule_enabled("VP1") and stoplist:
+        lowered = {word.lower() for word in stoplist}
+        for entity_type in etg.types:
+            words = {w.lower() for w in _SCAN_WORD_RE.findall(entity_type.label.text)}
+            for word in sorted(words & lowered):
+                findings.append(finding(
+                    "VP1", f"types/{entity_type.id}",
+                    f"label {entity_type.label.text!r} contains stopword {word!r}",
+                ))
+
+    if rule_enabled("EP2"):
+        for prop in etg.data_properties:
+            if prop.domain not in index:
+                findings.append(finding(
+                    "EP2", f"data_properties/{prop.name}",
+                    f"domain {prop.domain!r} resolves to no type",
+                ))
+        for prop in etg.object_properties:
+            for endpoint, kind in ((prop.domain, "domain"), (prop.range, "range")):
+                if endpoint not in index:
+                    findings.append(finding(
+                        "EP2", f"object_properties/{prop.name}",
+                        f"{kind} {endpoint!r} resolves to no type",
+                    ))
+
+    if rule_enabled("EP1"):
+        for entity_type in etg.types:
+            chain = safe_chain(entity_type.id)
+            if chain is None:
+                continue
+            chain_ids = {t.id for t in chain}
+            if not any(p.identifying and p.domain in chain_ids for p in etg.data_properties):
+                findings.append(finding(
+                    "EP1", f"types/{entity_type.id}",
+                    "no identifying data property on the type or its ancestors",
+                ))
+
+    if rule_enabled("EP3"):
+        properties = (*etg.data_properties, *etg.object_properties)
+        for entity_type in etg.types:
+            chain = safe_chain(entity_type.id)
+            if chain is None:
+                continue
+            own = [p.name for p in properties if p.domain == entity_type.id]
+            duplicated_here = {name for name in own if own.count(name) > 1}
+            ancestor_ids = {t.id for t in chain[1:]}
+            ancestor_names = {p.name for p in properties if p.domain in ancestor_ids}
+            for name in sorted(set(own) & ancestor_names | duplicated_here):
+                findings.append(finding(
+                    "EP3", f"types/{entity_type.id}/{name}",
+                    f"property {name!r} redeclared along the inheritance chain",
+                ))
+
+    return sort_findings(findings)

@@ -213,6 +213,13 @@ class TestEgQueryErrors:
             assert main(["eg", "query", str(eg_file), text]) == 2
             assert capsys.readouterr().err == "error: query: unterminated IRI\n"
 
+    def test_unsupported_literal_datatype_is_usage_error(self, eg_file, capsys):
+        text = '?b <title> "x"^^<http://ex.org/datatype> .'
+        assert main(["eg", "query", str(eg_file), text]) == 2
+        assert capsys.readouterr().err == (
+            "error: query: unsupported literal datatype <http://ex.org/datatype>\n"
+        )
+
     def test_unknown_name_is_usage_error(self, eg_file, capsys):
         status = main(["eg", "query", str(eg_file), "?b <author> <nobody> ."])
         assert status == 2

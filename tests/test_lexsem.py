@@ -6,7 +6,13 @@ import pytest
 
 from facetforge.core import FormatError
 from facetforge.fixtures import fixture_text
-from facetforge.lexsem import hypernym_path, load_lexsem, resolve_sense
+from facetforge.lexsem import (
+    LexicalSemanticResource,
+    Synset,
+    hypernym_path,
+    load_lexsem,
+    resolve_sense,
+)
 
 
 def lexsem_document(**overrides):
@@ -95,6 +101,29 @@ class TestHypernymPath:
     def test_unknown_synset_rejected(self, lexsem):
         with pytest.raises(ValueError, match="unknown synset"):
             hypernym_path(lexsem, "en-nope-1")
+
+    @staticmethod
+    def built(genera):
+        """A directly built resource, which no load checked."""
+        synsets = {
+            key: Synset(key, "en", (key,), genus=genus, differentia=("d",) if genus else ())
+            for key, genus in genera.items()
+        }
+        return LexicalSemanticResource("built", {"en": synsets})
+
+    def test_genus_cycle_rejected(self):
+        resource = self.built({"root": None, "a": "b", "b": "c", "c": "b"})
+        with pytest.raises(ValueError) as raised:
+            hypernym_path(resource, "a")
+        assert str(raised.value) == "language en: genus chain of synset a has a cycle"
+        with pytest.raises(ValueError, match="synset c has a cycle"):
+            hypernym_path(resource, "c")
+
+    def test_dangling_genus_rejected(self):
+        resource = self.built({"root": None, "a": "b", "b": "gone"})
+        with pytest.raises(ValueError) as raised:
+            hypernym_path(resource, "a")
+        assert str(raised.value) == "language en: synset b has dangling genus 'gone'"
 
     def test_differentia_strictly_grow_along_paths(self, lexsem):
         for synsets in lexsem.hierarchies.values():
