@@ -155,6 +155,27 @@ class EntityGraph:
             names.setdefault(value.rsplit("/", 1)[-1], []).append(iris[value])
         return {name: tuple(terms) for name, terms in names.items()}
 
+    @cached_property
+    def interned(self) -> tuple[dict[Iri | Literal, Iri | Literal], tuple[Triple, ...]]:
+        """Each distinct term -> the graph's one object for it, and the
+        triples rewritten over those objects, in the same order (a triple
+        already made of them is kept as it is).
+
+        Equal terms in the rewritten triples are the same object, however
+        the graph was made, so a query compares them with ``is``.  Built
+        from the triples on the first query and kept like ``short_names``;
+        builds, exports and snapshots never read it.
+        """
+        terms: dict[Iri | Literal, Iri | Literal] = {}
+        one = terms.setdefault
+
+        def canonical(triple: Triple) -> Triple:
+            s, p, o = triple
+            own = one(s, s), one(p, p), one(o, o)
+            return triple if own[0] is s and own[1] is p and own[2] is o else Triple(*own)
+
+        return terms, tuple(map(canonical, self.triples))
+
 
 # ---------------------------------------------------------------------------
 # IRI conventions (fixed vocabulary for predicates and type terms)

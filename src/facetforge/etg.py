@@ -25,6 +25,7 @@ from .core import (
     Identifier,
     Label,
     Provenance,
+    TermTable,
     finding,
     format_timestamp,
     has_errors,
@@ -634,12 +635,12 @@ def ground(
         unreachable = sorted(set(ontology.nodes) - set(grounding))
         raise ValueError(f"ontology nodes unreachable from the root: {unreachable}")
 
-    effective = {
-        node_id: EffectiveProperties(
+    by_type = TermTable(  # one chain walk per grounded type, shared by its nodes
+        lambda type_id: EffectiveProperties(
             data=frozenset(etg.effective_data_properties(type_id)),
             objects=frozenset(etg.effective_object_properties(type_id)),
         )
-        for node_id, type_id in grounding.items()
-    }
+    )
+    effective = {node_id: by_type[type_id] for node_id, type_id in grounding.items()}
     schema_graph = SchemaGraph(ontology, etg, grounding, effective)
     return schema_graph, sort_findings(findings)

@@ -76,19 +76,21 @@ def _scan(
 ) -> tuple[list[str], list[tuple[Term, ...]]]:
     """Bindings of one pattern on its own, in time linear in the triples.
 
-    Returns the pattern's distinct variable names and, for each triple that
-    agrees with its constants and its repeated variables, the values of those
-    variables in the same order.
+    *triples* and the pattern's constants are a graph's interned terms
+    (``EntityGraph.interned``), so constants and repeated variables compare
+    by identity.  Returns the pattern's distinct variable names and, for
+    each triple that agrees with its constants and its repeated variables,
+    the values of those variables in the same order.
     """
     names: list[str] = []
     slots: list[int] = []  # position of each name's first occurrence
     matches = triples
     for position, term in enumerate(pattern):
         if not isinstance(term, Variable):
-            matches = [t for t in matches if t[position] == term]
+            matches = [t for t in matches if t[position] is term]
         elif term.name in names:
             earlier = slots[names.index(term.name)]
-            matches = [t for t in matches if t[position] == t[earlier]]
+            matches = [t for t in matches if t[position] is t[earlier]]
         else:
             names.append(term.name)
             slots.append(position)
@@ -98,20 +100,30 @@ def _scan(
 def run_query(eg: EntityGraph, query: Query) -> BindingTable:
     """Evaluate a conjunctive query; rows deduplicated and canonically sorted.
 
-    Each pattern is matched on its own in one pass over the graph's triples,
-    read in place (a triple is a tuple, indexed by position), and the matches
-    are hash-joined on the variables they share with the rows so far.
-    Patterns sharing a variable with those rows go before patterns sharing
-    none, the one with the fewest matches first.  Cost is O(patterns x
-    triples + rows); no index is built or kept.
+    Each constant is mapped to the graph's own object for it through the
+    graph's interned view (``EntityGraph.interned``, built in one pass over
+    the triples on the graph's first query and kept with it); a constant
+    the graph does not hold gives the empty table at once.  Each pattern is
+    then matched on its own in one pass over the interned triples, comparing
+    terms by identity, and the matches are hash-joined on the variables
+    they share with the rows so far.  Patterns sharing a variable with
+    those rows go before patterns sharing none, the one with the fewest
+    matches first.  Cost is O(patterns x triples + rows).
 
     A variable-free query yields a zero-column table with one row iff every
     pattern is a triple of the graph.
     """
     columns = tuple(query.variables())
-    pending = []
+    terms, triples = eg.interned
+    patterns = []
     for pattern in query.patterns:
-        names, matches = _scan(eg.triples, pattern)
+        own = tuple(t if isinstance(t, Variable) else terms.get(t) for t in pattern)
+        if any(t is None for t in own):
+            return BindingTable(columns, ())
+        patterns.append(own)
+    pending = []
+    for pattern in patterns:
+        names, matches = _scan(triples, pattern)
         if not matches:
             return BindingTable(columns, ())
         pending.append((names, matches))

@@ -683,6 +683,53 @@ def scan_effective(etg: EntityTypeGraph, type_id: str, properties: tuple) -> dic
     return effective
 
 
+def random_groundable_etg(rng: random.Random) -> EntityTypeGraph:
+    """A lint-clean type tree: one identifying property on the root, a new
+    differentiating item and label per type, and property names declared
+    once.  One type is labelled ``A`` and one ``b``, so ontology nodes
+    labelled ``a``, ``b`` or ``B`` (see :func:`random_ontology`) ground by
+    label."""
+    count = rng.randint(1, 30)
+    labels = [f"kind {i}" for i in range(count)]
+    for label, position in zip(("A", "b"), rng.sample(range(count), min(2, count))):
+        labels[position] = label
+    types = [
+        EntityType(f"T{i}", Label(labels[i]), f"T{rng.randrange(i)}" if i else None, (f"d{i}",))
+        for i in range(count)
+    ]
+    data = [DataProperty("id", "T0", "string", identifying=True)] + [
+        DataProperty(f"v{k}", f"T{rng.randrange(count)}", rng.choice(["string", "integer"]))
+        for k in range(rng.randint(0, 12))
+    ]
+    objects = [
+        ObjectProperty(f"o{k}", f"T{rng.randrange(count)}", f"T{rng.randrange(count)}")
+        for k in range(rng.randint(0, 8))
+    ]
+    return EntityTypeGraph("groundable", tuple(types), tuple(data), tuple(objects))
+
+
+def scan_grounding(
+    ontology: LightweightOntology, etg: EntityTypeGraph, mapping: dict[str, str]
+) -> tuple[dict[str, str], list[str]]:
+    """Each node's type by its own mapping entry or unique label match, else
+    its parent's type, by recursion up the tree; and the paths of the nodes
+    that inherit."""
+    by_label: dict[str, list[str]] = {}
+    for entity_type in etg.types:
+        by_label.setdefault(entity_type.label.text.strip().lower(), []).append(entity_type.id)
+
+    def own(node: OntologyNode) -> str | None:
+        matches = by_label.get(node.label.strip().lower(), [])
+        return mapping.get(node.id) or (matches[0] if len(matches) == 1 else None)
+
+    def grounded(node_id: str) -> str:
+        node = ontology.nodes[node_id]
+        return own(node) or grounded(node.parent)
+
+    inherited = [f"nodes/{n.id}" for n in ontology.nodes.values() if own(n) is None]
+    return {node_id: grounded(node_id) for node_id in ontology.nodes}, sorted(inherited)
+
+
 def scan_resolve_in_category(category: FacetCategory, notation: str) -> list[Concept]:
     """Each level compares what is left of *notation* with every sibling."""
     level = scan_roots(category)

@@ -1,0 +1,74 @@
+"""The fixture pipeline reproduces byte for byte across interpreter runs.
+
+Set and dict iteration order of strings depends on ``PYTHONHASHSEED``, so a
+build or a query that leaked it would differ between two processes with
+different seeds while every in-process test still passed.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import facetforge
+from facetforge.fixtures import fixture_path
+
+SRC = Path(facetforge.__file__).resolve().parents[1]
+
+# Runs each argv of argv[1] (a JSON list) through the CLI in one process,
+# following each step's payload on stdout with its exit status.
+DRIVER = """
+import json, sys
+from facetforge.cli import main
+for argv in json.loads(sys.argv[1]):
+    status = main(argv)
+    sys.stdout.flush()
+    sys.stdout.buffer.write(f"-- exit {status}\\n".encode())
+    sys.stdout.buffer.flush()
+"""
+
+
+def fx(name: str) -> str:
+    return str(fixture_path(name))
+
+
+STEPS = [
+    ["ontology", "build", "--lexsem", fx("toy.lexsem.json"), "--language", "en",
+     "--schema", fx("du.schema.json"), "--out", "ontology.json"],
+    ["eg", "build", "--ontology", "ontology.json", "--etg", fx("du.etg.json"),
+     "--map", "en-book-1=Publication", "--spec", fx("du.mapping.json"),
+     "--data", f"books={fx('books.csv')}", "--data", f"people={fx('people.csv')}",
+     "--data", f"orgs={fx('orgs.csv')}", "--data", f"places={fx('places.csv')}",
+     "--base", "https://ex.org/du", "--at", "2024-01-01T00:00:00Z", "--out", "eg.json"],
+    ["eg", "query", "eg.json", "?o <type> <Organization> . ?o <foundedBy> ?p . ?b <publisher> ?o ."],
+    ["eg", "query", "eg.json", "<b1> <publisher> <harper-row> ."],
+    ["eg", "export", "--format", "nt", "eg.json"],
+    ["eg", "export", "--format", "nt", "eg.json", "--out", "eg.nt"],
+]
+
+
+def run_pipeline(directory: Path, hash_seed: str) -> tuple[bytes, bytes, dict[str, bytes]]:
+    directory.mkdir()
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", DRIVER, json.dumps(STEPS)],
+        cwd=directory, env=env, capture_output=True, timeout=120, check=True,
+    )
+    files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+    return done.stdout, done.stderr, files
+
+
+def test_pipeline_is_byte_identical_across_hash_seeds(tmp_path):
+    first = run_pipeline(tmp_path / "seed-0", "0")
+    second = run_pipeline(tmp_path / "seed-12345", "12345")
+    assert first == second
+    stdout, _, files = first
+    assert sorted(files) == ["eg.json", "eg.nt", "ontology.json"]
+    assert stdout.count(b"-- exit 0\n") == len(STEPS)
+    assert b"\ntrue\n-- exit 0\n" in stdout
+    assert b"?o\t?p\t?b\n<https://ex.org/du/Organization/harper-row>" in stdout
+    assert files["eg.nt"] in stdout

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from facetforge.etg import (
 )
 from facetforge.fixtures import fixture_text
 from facetforge.ontology import LightweightOntology, OntologyNode
+from helpers import random_groundable_etg, random_ontology, scan_effective, scan_grounding
 
 
 def etg_document(**overrides):
@@ -277,3 +279,65 @@ class TestGround:
         dirty = make_etg([entity_type("Entity", "entity", differentiating=())])
         with pytest.raises(LintGateError, match="not lint-clean"):
             ground(du_ontology, dirty, {})
+
+
+class TestGroundSharedTypes:
+    """``ground`` computes each grounded type's effective properties once and
+    shares them among the nodes grounded in it."""
+
+    def test_matches_scan_on_seeded_etgs(self):
+        rng = random.Random(5150)
+        shared = inherited = by_label = 0
+        for _ in range(300):
+            etg = random_groundable_etg(rng)
+            ontology = random_ontology(rng)
+            pool = rng.sample([t.id for t in etg.types], min(len(etg.types), rng.randint(1, 3)))
+            mapping = {
+                node_id: rng.choice(pool)
+                for node_id in ontology.nodes
+                if node_id == ontology.root or rng.random() < 0.3
+            }
+            schema_graph, findings = ground(ontology, etg, mapping)
+            grounding, paths = scan_grounding(ontology, etg, mapping)
+            assert schema_graph.grounding == grounding
+            assert sorted(f.path for f in findings) == paths
+            assert {f.code for f in findings} <= {"GR1"}
+            for node_id, type_id in grounding.items():
+                effective = schema_graph.effective_properties[node_id]
+                assert effective.data == set(scan_effective(etg, type_id, etg.data_properties))
+                assert effective.objects == set(
+                    scan_effective(etg, type_id, etg.object_properties)
+                )
+            shared += len(grounding) - len(set(grounding.values()))
+            inherited += len(paths)
+            by_label += sum(
+                node_id not in mapping and f"nodes/{node_id}" not in paths
+                for node_id in ontology.nodes
+            )
+        assert shared >= 6000 and inherited >= 1200 and by_label >= 3000, (
+            shared, inherited, by_label,
+        )
+
+    def test_many_nodes_on_a_deep_chain(self):
+        depth = 1000
+        types = [entity_type("T0", "thing")] + [
+            entity_type(f"T{i}", f"kind {i}", f"T{i - 1}", (f"d{i}",)) for i in range(1, depth)
+        ]
+        data = [DataProperty("id", "T0", "string", identifying=True)] + [
+            DataProperty(f"p{i}", f"T{i}", "string") for i in range(1, depth, 10)
+        ]
+        etg = make_etg(types, data)
+        nodes = {"root": OntologyNode(id="root", label="root")}
+        nodes.update(
+            (f"n{i}", OntologyNode(id=f"n{i}", label=f"node {i}", parent="root"))
+            for i in range(3999)
+        )
+        ontology = LightweightOntology("root", nodes)
+        schema_graph, findings = ground(ontology, etg, dict.fromkeys(nodes, f"T{depth - 1}"))
+        assert findings == []
+        expected = set(scan_effective(etg, f"T{depth - 1}", etg.data_properties))
+        assert len(expected) == 101
+        assert len(schema_graph.effective_properties) == 4000
+        assert len({id(e) for e in schema_graph.effective_properties.values()}) == 1
+        assert all(e.data == expected and e.objects == set()
+                   for e in schema_graph.effective_properties.values())

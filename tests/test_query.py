@@ -8,8 +8,9 @@ import pytest
 
 from facetforge.cli import parse_query_text
 from facetforge.core import Iri
-from facetforge.eg import Literal, Triple, build_entity_graph
+from facetforge.eg import Literal, Triple, build_entity_graph, snapshot
 from facetforge.exports import (
+    export_fca,
     export_jsongraph,
     export_ntriples,
     load_entity_graph_json,
@@ -290,6 +291,163 @@ class TestShortNames:
         assert first > 0
         for _ in range(3):
             parse_query_text(text, graph)
+        assert triples.iterations == first
+
+
+def copied(term):
+    """A term equal to *term* that is not the same object."""
+    return Iri(term.value) if isinstance(term, Iri) else Literal(term.text, term.datatype)
+
+
+def with_copied_terms(graph):
+    """The same graph with a new object for every term of every triple."""
+    return replace(graph, triples=tuple(Triple(*map(copied, t)) for t in graph.triples))
+
+
+def with_copied_constants(query):
+    return Query(tuple(
+        tuple(t if isinstance(t, Variable) else copied(t) for t in pattern)
+        for pattern in query.patterns
+    ))
+
+
+X, Y, Z = Variable("?x"), Variable("?y"), Variable("?z")
+ABSENT = (Iri("https://ex.org/w/absent"), Literal("absent", "string"), Literal("1", "string"))
+
+
+def repeated_variable_query(rng, graph):
+    """A pattern repeating a variable (``?x p ?x``, ``?x ?x ?y`` and the
+    like), alone or joined to a pattern read off the graph."""
+    anchor = rng.choice(graph.triples)
+    first = rng.choice([
+        (X, anchor.predicate, X), (X, X, Y), (X, Y, X), (Y, X, X), (X, X, X),
+        (X, X, anchor.object), (anchor.subject, X, X),
+    ])
+    if rng.random() < 0.5:
+        return Query((first,))
+    second = rng.choice([(Y, anchor.predicate, Z), (X, Z, anchor.object), (Z, Y, X)])
+    return Query((first, second))
+
+
+def absent_constant_query(rng, graph):
+    """A query read off the graph with one constant the graph does not hold."""
+    query = random_anchored_query(rng, graph, max_patterns=2)
+    patterns = [list(pattern) for pattern in query.patterns]
+    pattern = rng.choice(patterns)
+    pattern[rng.choice([0, 1, 2])] = rng.choice(ABSENT)
+    return Query(tuple(tuple(p) for p in patterns))
+
+
+class TestInternedView:
+    """Queries compare interned terms by identity; the view must answer as
+    the oracles do on graphs and queries whose equal terms are distinct
+    objects, and only a query may build it."""
+
+    def test_view_holds_one_object_per_term(self):
+        rng = random.Random(77)
+        for _ in range(20):
+            graph = with_copied_terms(random_wide_graph(rng, 200))
+            terms, triples = graph.interned
+            assert triples == graph.triples
+            assert set(terms) == set(graph.terms())
+            assert all(terms[term] is term for term in terms)
+            assert len({id(term) for triple in triples for term in triple}) == len(terms)
+
+    def test_matches_nested_loop_with_distinct_equal_terms(self):
+        rng = random.Random(6060)
+        seen = Counter()
+        for case in range(300):
+            graph = with_copied_terms(random_wide_graph(rng, rng.randint(100, 300)))
+            kind = ("repeated", "absent", "anchored")[case % 3]
+            if kind == "repeated":
+                query = repeated_variable_query(rng, graph)
+            elif kind == "absent":
+                query = absent_constant_query(rng, graph)
+            else:
+                query = random_anchored_query(rng, graph, max_patterns=2)
+            query = with_copied_constants(query)
+            expected = nested_loop_query(graph, query)
+            assert run_query(graph, query) == expected
+            seen[kind, bool(expected.rows)] += 1
+            if kind == "absent":
+                assert expected.rows == ()
+                assert not run_query(graph, query).holds()
+        assert seen["repeated", True] >= 40 and seen["anchored", True] >= 40, seen
+
+    def test_matches_brute_force_with_distinct_equal_terms(self):
+        rng = random.Random(8080)
+        matched = Counter()
+        for case in range(300):
+            graph = random_entity_graph(rng, max_triples=30)
+            if not graph.triples:
+                continue
+            graph = with_copied_terms(graph)
+            kind = ("repeated", "absent", "random")[case % 3]
+            if kind == "repeated":
+                query = repeated_variable_query(rng, graph)
+            elif kind == "absent":
+                query = absent_constant_query(rng, graph)
+            else:
+                query = random_query(rng, graph)
+            query = with_copied_constants(query)
+            columns, expected = brute_force_query(graph, query)
+            table = run_query(graph, query)
+            assert table.columns == columns
+            assert set(table.rows) == expected
+            matched[kind] += bool(expected)
+        assert matched["absent"] == 0
+        assert matched["repeated"] >= 30 and matched["random"] >= 10, matched
+
+    def test_absent_constants_give_no_rows(self, figure_eg):
+        book = iri("Publication", "b1")
+        title = iri("prop", "title")
+        for absent in (*ABSENT, iri("Publication", "nobody"), Literal("1973-01-01", "string")):
+            for pattern in ((book, title, absent), (X, title, absent), (absent, title, X),
+                            (book, absent, X)):
+                table = run_query(figure_eg, Query(((X, title, Y), pattern)))
+                assert table.rows == () and table.columns == ("?x", "?y")
+            assert not run_query(figure_eg, Query(((book, title, absent),))).holds()
+
+    def test_view_takes_no_part_in_equality(self, figure_eg):
+        graph = replace(figure_eg)
+        assert "interned" not in graph.__dict__
+        run_query(graph, Query(((X, iri("prop", "name"), Y),)))
+        assert "interned" in graph.__dict__
+        assert graph == figure_eg and hash(graph) == hash(figure_eg)
+        assert repr(graph) == repr(figure_eg) and "interned" not in repr(graph)
+
+    def test_builds_exports_and_snapshots_never_build_the_view(
+        self, schema_graph, mapping_spec, tmp_path
+    ):
+        tables = random_du_tables(random.Random(3))
+        graph, _ = build_entity_graph(schema_graph, mapping_spec, tables, BASE, AT)
+        exported = export_jsongraph(graph), export_ntriples(graph), export_fca(graph)
+        snapshot(graph, tmp_path)
+        loaded = load_entity_graph_json(exported[0])
+        for made in (graph, loaded):
+            assert "interned" not in made.__dict__
+        assert run_query(graph, Query(((X, Y, Z),))).rows
+
+    def test_second_query_reads_no_triples(self, figure_eg):
+        class CountingTriples(tuple):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        triples = CountingTriples(figure_eg.triples)
+        graph = replace(figure_eg, triples=triples)
+        query = Query((
+            (X, iri("prop", "author"), iri("Person", "schumacher")),
+            (X, iri("prop", "title"), Y),
+        ))
+        expected = run_query(figure_eg, query)
+        assert run_query(graph, query) == expected
+        first = triples.iterations
+        assert first > 0
+        for _ in range(3):
+            assert run_query(graph, query) == expected
         assert triples.iterations == first
 
 
