@@ -10,7 +10,7 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "ERROR",
@@ -83,17 +83,33 @@ def validate_identifier(text: str) -> Identifier:
     return Identifier(text)
 
 
-@dataclass(frozen=True)
-class Iri:
-    """Absolute IRI of the form ``scheme://authority/path``."""
-
+class _IriFields(NamedTuple):
     value: str
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, str) or not _IRI_RE.match(self.value):
+
+class Iri(_IriFields):
+    """Absolute IRI of the form ``scheme://authority/path``.
+
+    A validated named tuple: it equals, and hashes like, the plain
+    ``(value,)`` tuple, so comparing two IRIs runs in C.  Every way of making
+    one (call, ``_make``, ``_replace``, copy, pickle) runs the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: str) -> Iri:
+        if not isinstance(value, str) or not _IRI_RE.match(value):
             raise ValueError(
-                f"invalid IRI (expected scheme://authority/path, no spaces): {self.value!r}"
+                f"invalid IRI (expected scheme://authority/path, no spaces): {value!r}"
             )
+        return tuple.__new__(cls, (value,))
+
+    @classmethod
+    def _make(cls, iterable) -> Iri:
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
 
     def __str__(self) -> str:
         return self.value

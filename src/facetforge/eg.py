@@ -70,14 +70,28 @@ class DanglingLinkError(ValueError):
         self.finding = offender
 
 
-@dataclass(frozen=True)
-class Literal:
+class _LiteralFields(NamedTuple):
     text: str
     datatype: str
 
-    def __post_init__(self) -> None:
-        if self.datatype not in LITERAL_DATATYPES:
+
+class Literal(_LiteralFields):
+    """A typed literal; a validated named tuple like ``core.Iri``: it equals,
+    and hashes like, the plain ``(text, datatype)`` tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, text: str, datatype: str) -> Literal:
+        if datatype not in LITERAL_DATATYPES:
             raise ValueError(f"literal datatype must be one of {LITERAL_DATATYPES}")
+        return tuple.__new__(cls, (text, datatype))
+
+    @classmethod
+    def _make(cls, iterable) -> Literal:
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
 
 
 class Triple(NamedTuple):
@@ -175,6 +189,20 @@ class EntityGraph:
             return triple if own[0] is s and own[1] is p and own[2] is o else Triple(*own)
 
         return terms, tuple(map(canonical, self.triples))
+
+    @cached_property
+    def by_predicate(self) -> dict[Iri, tuple[Triple, ...]]:
+        """Each predicate -> the interned triples that carry it, in graph
+        order: a partition of ``interned``, keyed by the graph's own objects.
+
+        Built from the interned view by the first query with a constant
+        predicate and kept like it; builds, exports and snapshots never read
+        it.
+        """
+        groups: dict[Iri, list[Triple]] = {}
+        for triple in self.interned[1]:
+            groups.setdefault(triple.predicate, []).append(triple)
+        return {predicate: tuple(group) for predicate, group in groups.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -129,10 +129,10 @@ def _unescape(match: re.Match) -> str:
     return decoded
 
 
-def _read_term(text: str, position: int) -> tuple[Iri | Literal, int]:
+def _read_term(text: str, position: int, iris: TermTable) -> tuple[Iri | Literal, int]:
     if text[position] == "<":
         end = text.index(">", position)
-        return Iri(text[position + 1:end]), end + 1
+        return iris[text[position + 1:end]], end + 1
     if text[position] == '"':
         value, cursor = read_literal(text, position)
         if not text.startswith("^^<", cursor):
@@ -149,15 +149,16 @@ def _read_term(text: str, position: int) -> tuple[Iri | Literal, int]:
 def parse_ntriples(data: bytes | str) -> tuple[Triple, ...]:
     """Parse the exporter's line subset: IRI terms and typed literals."""
     text = data.decode() if isinstance(data, bytes) else data
+    iris = TermTable(Iri)  # each distinct IRI text is checked and built once
     triples: list[Triple] = []
     for line_number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            subject, position = _read_term(line, 0)
-            predicate, position = _read_term(line, position + 1)
-            obj, position = _read_term(line, position + 1)
+            subject, position = _read_term(line, 0, iris)
+            predicate, position = _read_term(line, position + 1, iris)
+            obj, position = _read_term(line, position + 1, iris)
         except (ValueError, IndexError) as exc:
             raise FormatError(f"line {line_number}: {exc}") from None
         if line[position:].strip() != ".":

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 from .core import Iri
-from .eg import EntityGraph, Literal, Triple
+from .eg import EntityGraph, Literal
 from .exports import render_term
 
 __all__ = ["BindingTable", "Query", "Variable", "run_query"]
@@ -72,22 +72,30 @@ class BindingTable:
 
 
 def _scan(
-    triples: Sequence[Triple], pattern: Pattern
+    eg: EntityGraph, pattern: Pattern
 ) -> tuple[list[str], list[tuple[Term, ...]]]:
-    """Bindings of one pattern on its own, in time linear in the triples.
+    """Bindings of one pattern on its own.
 
-    *triples* and the pattern's constants are a graph's interned terms
+    The pattern's constants are the graph's interned terms
     (``EntityGraph.interned``), so constants and repeated variables compare
-    by identity.  Returns the pattern's distinct variable names and, for
-    each triple that agrees with its constants and its repeated variables,
-    the values of those variables in the same order.
+    by identity.  A constant predicate reads only its group of
+    ``EntityGraph.by_predicate``, whose triples all carry it, in time linear
+    in the group; a variable predicate reads every interned triple.  Returns
+    the pattern's distinct variable names and, for each triple read that
+    agrees with its constants and its repeated variables, the values of
+    those variables in the same order.
     """
+    predicate = pattern[1]
+    if isinstance(predicate, Variable):
+        matches = eg.interned[1]
+    else:
+        matches = eg.by_predicate.get(predicate, ())
     names: list[str] = []
     slots: list[int] = []  # position of each name's first occurrence
-    matches = triples
     for position, term in enumerate(pattern):
         if not isinstance(term, Variable):
-            matches = [t for t in matches if t[position] is term]
+            if position != 1:  # the group already agrees on its predicate
+                matches = [t for t in matches if t[position] is term]
         elif term.name in names:
             earlier = slots[names.index(term.name)]
             matches = [t for t in matches if t[position] is t[earlier]]
@@ -101,20 +109,24 @@ def run_query(eg: EntityGraph, query: Query) -> BindingTable:
     """Evaluate a conjunctive query; rows deduplicated and canonically sorted.
 
     Each constant is mapped to the graph's own object for it through the
-    graph's interned view (``EntityGraph.interned``, built in one pass over
-    the triples on the graph's first query and kept with it); a constant
-    the graph does not hold gives the empty table at once.  Each pattern is
-    then matched on its own in one pass over the interned triples, comparing
-    terms by identity, and the matches are hash-joined on the variables
-    they share with the rows so far.  Patterns sharing a variable with
-    those rows go before patterns sharing none, the one with the fewest
-    matches first.  Cost is O(patterns x triples + rows).
+    graph's interned view (``EntityGraph.interned``); a constant the graph
+    does not hold gives the empty table at once.  Each pattern is then
+    matched on its own, comparing terms by identity: a pattern with a
+    constant predicate scans only that predicate's triples
+    (``EntityGraph.by_predicate``), one with a variable predicate scans all
+    of them.  The graph builds both views in one pass each over the triples
+    on its first query and keeps them.  The matches are hash-joined on the
+    variables they share with the rows so far.  Patterns sharing a variable
+    with those rows go before patterns sharing none, the one with the fewest
+    matches first.  Cost is O(triples read by the scans + rows): the size
+    of each constant predicate's group, and all triples for each variable
+    predicate.
 
     A variable-free query yields a zero-column table with one row iff every
     pattern is a triple of the graph.
     """
     columns = tuple(query.variables())
-    terms, triples = eg.interned
+    terms = eg.interned[0]
     patterns = []
     for pattern in query.patterns:
         own = tuple(t if isinstance(t, Variable) else terms.get(t) for t in pattern)
@@ -123,7 +135,7 @@ def run_query(eg: EntityGraph, query: Query) -> BindingTable:
         patterns.append(own)
     pending = []
     for pattern in patterns:
-        names, matches = _scan(triples, pattern)
+        names, matches = _scan(eg, pattern)
         if not matches:
             return BindingTable(columns, ())
         pending.append((names, matches))

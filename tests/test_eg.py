@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -17,6 +20,7 @@ from facetforge.eg import (
 )
 from facetforge.etg import DataProperty, EntityType, ground
 from facetforge.exports import (
+    export_fca,
     export_jsongraph,
     export_ntriples,
     load_entity_graph_json,
@@ -68,6 +72,92 @@ class TestTripleContract:
         assert sorted(parsed, key=Triple.sort_key) == list(figure_eg.triples)
         for triples in (figure_eg.triples, loaded.triples, parsed):
             assert {type(t) for t in triples} == {Triple}
+
+
+class TestTermContract:
+    """``Iri`` and ``Literal`` are validated named tuples: equal and hashed
+    like the plain tuples of their fields, checked however they are made."""
+
+    IRI = Iri("https://ex.org/du/Publication/b1")
+    LITERAL = Literal("Small", "string")
+    # SHA-256 of the fixture graph's exports, as written when the terms
+    # were frozen dataclasses.
+    FIXTURE_EXPORTS = {
+        export_ntriples: "06f31a3a40bc9f0462d27136e05e2da59116739e682ef78213887d96bee63ce3",
+        export_jsongraph: "0f599cb94a45920f287749d7019aba234b1ed6576e190b87d929969f8cbfba0f",
+        export_fca: "21cf582e157e7bd0573c1b11de21732c6b80cbc8dc27845c0cef4406a4e86972",
+    }
+
+    def test_equal_and_hash_like_plain_tuples(self):
+        assert Iri._fields == ("value",) and Literal._fields == ("text", "datatype")
+        assert self.IRI == ("https://ex.org/du/Publication/b1",)
+        assert hash(self.IRI) == hash(("https://ex.org/du/Publication/b1",))
+        assert self.LITERAL == ("Small", "string")
+        assert hash(self.LITERAL) == hash(("Small", "string"))
+        assert Iri(self.IRI.value) == self.IRI and Iri(self.IRI.value) is not self.IRI
+        assert Literal("Small", "integer") != self.LITERAL
+
+    def test_never_equal_each_other_or_a_triple(self):
+        text = self.IRI.value
+        terms = [self.IRI, Literal(text, "string"), Triple(self.IRI, self.IRI, self.IRI)]
+        for first in terms:
+            for second in terms:
+                assert (first == second) is (first is second)
+        assert len(set(terms)) == 3
+
+    def test_repr_str_and_fields(self):
+        assert repr(self.IRI) == "Iri(value='https://ex.org/du/Publication/b1')"
+        assert repr(self.LITERAL) == "Literal(text='Small', datatype='string')"
+        assert str(self.IRI) == "https://ex.org/du/Publication/b1"
+        assert (self.LITERAL.text, self.LITERAL.datatype) == ("Small", "string")
+        for term in (self.IRI, self.LITERAL):
+            assert type(term).__slots__ == () and not hasattr(term, "__dict__")
+            with pytest.raises(AttributeError):
+                term.extra = 1
+        with pytest.raises(AttributeError):
+            self.IRI.value = "https://ex.org/du/other"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Iri("https://ex.org"),
+            lambda: Iri(value="no scheme/path"),
+            lambda: Iri._make(["https://ex org/du"]),
+            lambda: Iri(42),
+            lambda: TestTermContract.IRI._replace(value="http://"),
+            lambda: Literal("x", "iri"),
+            lambda: Literal(text="x", datatype="String"),
+            lambda: Literal._make(["x", "float"]),
+            lambda: TestTermContract.LITERAL._replace(datatype="iri"),
+        ],
+    )
+    def test_every_construction_path_checks(self, make):
+        with pytest.raises(ValueError, match="invalid IRI|literal datatype must be one of"):
+            make()
+
+    def test_copies_and_pickles_check_and_give_back_equal_terms(self):
+        forged = [tuple.__new__(Iri, ("not an IRI",)), tuple.__new__(Literal, ("x", "iri"))]
+        rebuilds = [copy.copy, copy.deepcopy] + [
+            lambda term, protocol=protocol: pickle.loads(pickle.dumps(term, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for rebuild in rebuilds:
+            for term in (self.IRI, self.LITERAL):
+                again = rebuild(term)
+                assert again == term and type(again) is type(term)
+            for term in forged:
+                with pytest.raises(ValueError):
+                    rebuild(term)
+
+    def test_keyword_and_make_build_the_same_terms(self):
+        assert Iri(value=self.IRI.value) == Iri._make([self.IRI.value]) == self.IRI
+        assert Literal(text="Small", datatype="string") == Literal._make(self.LITERAL)
+        assert self.LITERAL._replace(datatype="integer") == Literal("Small", "integer")
+        assert type(self.IRI._replace(value="https://ex.org/du/x")) is Iri
+
+    def test_fixture_exports_unchanged(self, figure_eg):
+        for export, digest in self.FIXTURE_EXPORTS.items():
+            assert hashlib.sha256(export(figure_eg)).hexdigest() == digest, export.__name__
 
 
 class TestLoadMappingSpec:

@@ -1,0 +1,128 @@
+"""Metamorphic properties of the entity-graph pipeline: changes to the
+input that must leave the output byte for byte as it was."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import random
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from facetforge.eg import MappingSpec, Triple, build_entity_graph, load_mapping_spec
+from facetforge.exports import (
+    export_fca,
+    export_jsongraph,
+    export_ntriples,
+    load_entity_graph_json,
+    parse_ntriples,
+)
+from helpers import AT, BASE, random_du_tables
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def gen():
+    """The benchmark's seeded input generators (``bench/gen.py``), imported
+    from their file as they are."""
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def exports(graph):
+    return export_ntriples(graph), export_jsongraph(graph), export_fca(graph)
+
+
+def shuffled(rng, tables):
+    return {name: rng.sample(rows, len(rows)) for name, rows in tables.items()}
+
+
+class TestRowOrder:
+    """Rows with unique ids within their dataset may come in any order."""
+
+    def check_shuffles(self, rng, schema_graph, spec, tables):
+        """The graph, its exports and its findings' codes on *tables* and on
+        three shuffles of their rows; returns the findings of each build."""
+        graph, findings = build_entity_graph(schema_graph, spec, tables, BASE, AT)
+        expected = exports(graph)
+        runs = [findings]
+        for _ in range(3):
+            again, again_findings = build_entity_graph(
+                schema_graph, spec, shuffled(rng, tables), BASE, AT
+            )
+            assert again == graph and exports(again) == expected
+            assert sorted(f.code for f in again_findings) == sorted(f.code for f in findings)
+            runs.append(again_findings)
+        return graph, runs
+
+    def test_fixture_shaped_tables(self, schema_graph, mapping_spec):
+        rng = random.Random(31)
+        sizes = []
+        for _ in range(60):
+            graph, runs = self.check_shuffles(
+                rng, schema_graph, mapping_spec, random_du_tables(rng)
+            )
+            assert all(findings == runs[0] for findings in runs)  # every link has a target
+            sizes.append(len(graph.triples))
+        assert max(sizes) >= 20
+
+    def test_benchmark_batches_with_faults(self, schema_graph, gen):
+        """Cast failures, skipped links and stubs.  Which row's link reports
+        a stub shared by several rows follows row order, so only the
+        findings' codes are compared."""
+        spec = load_mapping_spec(gen.mapping_document("stub", "skip"), schema_graph)
+        codes = set()
+        for seed in range(6):
+            batch = gen.graph_batch(gen.rng_for(seed, "batch"), 80, 20, 10, 6, faults=True)
+            _, runs = self.check_shuffles(random.Random(seed), schema_graph, spec, batch.tables)
+            codes.update(f.code for f in runs[0])
+        assert {"IG1", "LK2", "LK3"} <= codes
+
+    def test_dataset_order(self, schema_graph, mapping_spec):
+        """No two datasets of the fixture spec share an entity type, so no
+        row id is claimed twice (IG3) and the order of the datasets shows
+        only in the graph's ``sources``."""
+        rng = random.Random(47)
+        for _ in range(40):
+            tables = random_du_tables(rng)
+            graph, findings = build_entity_graph(schema_graph, mapping_spec, tables, BASE, AT)
+            spec = MappingSpec(tuple(rng.sample(mapping_spec.datasets, 4)))
+            again, again_findings = build_entity_graph(schema_graph, spec, tables, BASE, AT)
+            assert again.sources == tuple(entry.id for entry in spec.datasets)
+            assert again == replace(graph, sources=again.sources)
+            assert again_findings == findings
+            assert export_ntriples(again) == export_ntriples(graph)
+            assert export_fca(again) == export_fca(graph)
+
+
+class TestRoundTrips:
+    def test_ntriples_json_ntriples_on_the_query_graph(self, gen):
+        """N-Triples -> graph -> JSON -> graph -> N-Triples is the identity
+        on the graph-query workload's graph."""
+        sizes = json.loads((BENCH / "workloads.json").read_text())["workloads"]["graph-query"]
+        sizes = sizes["sizes"]
+        document = gen.query_graph_document(
+            gen.rng_for(1, "graph"), sizes["books"], sizes["people"], sizes["orgs"], sizes["places"]
+        ).document
+        loaded = load_entity_graph_json(document)
+        ntriples = export_ntriples(loaded)
+
+        from_ntriples = replace(
+            loaded, triples=tuple(sorted(parse_ntriples(ntriples), key=Triple.sort_key))
+        )
+        jsongraph = export_jsongraph(from_ntriples)
+        from_json = load_entity_graph_json(jsongraph)
+        assert from_json == from_ntriples == loaded
+        assert export_ntriples(from_json) == ntriples
+        assert export_jsongraph(from_json) == jsongraph == document.encode() + b"\n"
+        assert len(loaded.triples) == 2020

@@ -311,7 +311,7 @@ def with_copied_constants(query):
     ))
 
 
-X, Y, Z = Variable("?x"), Variable("?y"), Variable("?z")
+X, Y, Z, P = Variable("?x"), Variable("?y"), Variable("?z"), Variable("?p")
 ABSENT = (Iri("https://ex.org/w/absent"), Literal("absent", "string"), Literal("1", "string"))
 
 
@@ -412,9 +412,10 @@ class TestInternedView:
         graph = replace(figure_eg)
         assert "interned" not in graph.__dict__
         run_query(graph, Query(((X, iri("prop", "name"), Y),)))
-        assert "interned" in graph.__dict__
+        for view in ("interned", "by_predicate"):
+            assert view in graph.__dict__ and view not in repr(graph)
         assert graph == figure_eg and hash(graph) == hash(figure_eg)
-        assert repr(graph) == repr(figure_eg) and "interned" not in repr(graph)
+        assert repr(graph) == repr(figure_eg)
 
     def test_builds_exports_and_snapshots_never_build_the_view(
         self, schema_graph, mapping_spec, tmp_path
@@ -424,8 +425,10 @@ class TestInternedView:
         exported = export_jsongraph(graph), export_ntriples(graph), export_fca(graph)
         snapshot(graph, tmp_path)
         loaded = load_entity_graph_json(exported[0])
-        for made in (graph, loaded):
-            assert "interned" not in made.__dict__
+        parsed = replace(graph, triples=tuple(sorted(parse_ntriples(exported[1]),
+                                                     key=Triple.sort_key)))
+        for made in (graph, loaded, parsed):
+            assert "interned" not in made.__dict__ and "by_predicate" not in made.__dict__
         assert run_query(graph, Query(((X, Y, Z),))).rows
 
     def test_second_query_reads_no_triples(self, figure_eg):
@@ -438,17 +441,93 @@ class TestInternedView:
 
         triples = CountingTriples(figure_eg.triples)
         graph = replace(figure_eg, triples=triples)
-        query = Query((
-            (X, iri("prop", "author"), iri("Person", "schumacher")),
-            (X, iri("prop", "title"), Y),
-        ))
-        expected = run_query(figure_eg, query)
-        assert run_query(graph, query) == expected
+        queries = [
+            Query(((X, iri("prop", "author"), iri("Person", "schumacher")),
+                   (X, iri("prop", "title"), Y))),
+            Query(((X, P, iri("Person", "schumacher")),
+                   (X, iri("prop", "title"), Y))),
+            Query(((X, X, Y),)),
+        ]
+        expected = [run_query(figure_eg, query) for query in queries]
+        assert [run_query(graph, query) for query in queries] == expected
         first = triples.iterations
         assert first > 0
         for _ in range(3):
-            assert run_query(graph, query) == expected
+            assert [run_query(graph, query) for query in queries] == expected
         assert triples.iterations == first
+
+
+def predicate_view_query(rng, graph):
+    """A query that reads past or around the predicate groups: a variable
+    predicate, a repeated variable in predicate position, a constant
+    predicate the graph does not carry as one, or one that is also the
+    pattern's subject, alone or joined to a pattern read off the graph."""
+    anchor = rng.choice(graph.triples)
+    kind = rng.choice(["variable", "repeated", "absent", "self"])
+    if kind == "variable":
+        first = rng.choice([(X, P, Y), (anchor.subject, P, Y), (X, P, anchor.object)])
+    elif kind == "repeated":
+        first = rng.choice([(X, X, Y), (X, Y, Y), (X, X, X), (X, P, X)])
+    elif kind == "absent":
+        # an IRI outside the graph, or a term of the graph that is never a predicate
+        carried = {t.predicate for t in graph.triples}
+        never = [t for t in (anchor.subject, anchor.object) if t not in carried]
+        absent = rng.choice([ABSENT[0], *never])
+        first = (X, absent, Y)
+    else:
+        first = (anchor.predicate, anchor.predicate, Y)
+    if rng.random() < 0.5:
+        return kind, Query((first,))
+    second = rng.choice([(X, anchor.predicate, Z), (Y, P, Z), (Z, anchor.predicate, Y)])
+    return kind, Query((first, second))
+
+
+class TestPredicateView:
+    """Constant predicates read only their group of ``by_predicate``; the
+    answers must be the oracles' whatever the predicate position holds."""
+
+    def test_groups_partition_the_interned_triples(self):
+        rng = random.Random(515)
+        for _ in range(20):
+            graph = with_copied_terms(random_wide_graph(rng, rng.randint(50, 300)))
+            terms, triples = graph.interned
+            groups = graph.by_predicate
+            assert sorted(map(id, (t for g in groups.values() for t in g))) == sorted(
+                map(id, triples)
+            )
+            for predicate, group in groups.items():
+                assert terms[predicate] is predicate
+                assert all(t.predicate is predicate for t in group)
+                assert list(group) == [t for t in triples if t.predicate is predicate]
+
+    def test_matches_nested_loop_with_distinct_equal_terms(self):
+        rng = random.Random(9191)
+        seen = Counter()
+        for _ in range(300):
+            graph = with_copied_terms(random_wide_graph(rng, rng.randint(100, 300)))
+            kind, query = predicate_view_query(rng, graph)
+            query = with_copied_constants(query)
+            expected = nested_loop_query(graph, query)
+            assert run_query(graph, query) == expected
+            seen[kind, bool(expected.rows)] += 1
+        assert all(seen[kind, True] >= 20 for kind in ("variable", "repeated", "self")), seen
+        assert seen["absent", True] == 0 and seen["absent", False] >= 40, seen
+
+    def test_matches_brute_force_with_distinct_equal_terms(self):
+        rng = random.Random(4242)
+        matched = Counter()
+        for _ in range(300):
+            graph = random_entity_graph(rng, max_triples=25)
+            if not graph.triples:
+                continue
+            graph = with_copied_terms(graph)
+            kind, query = predicate_view_query(rng, graph)
+            columns, expected = brute_force_query(graph, with_copied_constants(query))
+            table = run_query(graph, with_copied_constants(query))
+            assert table.columns == columns
+            assert set(table.rows) == expected
+            matched[kind] += bool(expected)
+        assert all(matched[kind] >= 10 for kind in ("variable", "repeated", "self")), matched
 
 
 class TestQueryLiterals:
