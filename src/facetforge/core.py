@@ -10,6 +10,8 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -44,7 +46,9 @@ _IDENTIFIER_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-"
 )
 _IDENTIFIER_RE = re.compile(r"[A-Za-z0-9._-]+\Z")
-_IRI_RE = re.compile(r"([A-Za-z][A-Za-z0-9+.-]*)://([^/\s]+)(/\S+)\Z")
+_IRI = r"[A-Za-z][A-Za-z0-9+.-]*://[^/\s]+/\S+"  # scheme://authority/path
+_IRI_RE = re.compile(_IRI + r"\Z")
+_IRI_LINES_RE = re.compile(rf"(?:{_IRI}\n)*{_IRI}")  # no IRI holds a line break
 _LANGUAGE_RE = re.compile(r"[A-Za-z]{2,8}(?:-[A-Za-z0-9]{1,8})*\Z")
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
@@ -107,6 +111,20 @@ class Iri(_IriFields):
     @classmethod
     def _make(cls, iterable) -> Iri:
         return cls(*iterable)
+
+    @classmethod
+    def many(cls, values: Sequence[str]) -> list[Iri]:
+        """``[Iri(value) for value in values]``, checked in one pass.
+
+        The values are checked as the lines of one text.  If any is bad,
+        each is made in turn, so the first bad one raises what ``Iri``
+        raises for it.
+        """
+        if {*map(type, values)} <= {str}:
+            text = "\n".join(values)
+            if text.count("\n") == len(values) - 1 and _IRI_LINES_RE.fullmatch(text):
+                return [*map(tuple.__new__, repeat(cls), zip(values))]
+        return [*map(cls, values)]
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(self)
@@ -304,8 +322,8 @@ _KINDS: dict[str, tuple[str, type, Callable[[Any], object] | None]] = {
     "identifier": ("a string of [A-Za-z0-9._-]", str, _IDENTIFIER_RE.match),
     "bool": ("a boolean", bool, None),
     "int": ("an integer", int, None),
-    "strings": ("a list of strings", list, lambda v: all(type(x) is str for x in v)),
-    "objects": ("a list of objects", list, lambda v: all(type(x) is dict for x in v)),
+    "strings": ("a list of strings", list, lambda v: {*map(type, v)} <= {str}),
+    "objects": ("a list of objects", list, lambda v: {*map(type, v)} <= {dict}),
     "object": ("an object", dict, None),
 }
 _MISSING = object()
@@ -333,6 +351,7 @@ class Fields:
             (key, *_KINDS[kind], rest[0] if rest else _MISSING) for key, kind, *rest in fields
         )
         self._keys = frozenset(field[0] for field in self._fields)
+        self._getters = [itemgetter(field[0]) for field in self._fields]
 
     def read(self, raw: object, where: str) -> list:
         """The values of *raw* in table order, defaults filled in.
@@ -361,6 +380,29 @@ class Fields:
         if len(raw) + absent > len(self._fields):
             self._fail(raw, where, "")
         return values
+
+    def columns(self, raws: list, where: str) -> list[list]:
+        """The values of the objects of *raws*, one list per key of the
+        table, in table order.
+
+        Meant for long lists of objects that hold every key of the table:
+        then a few passes in C check the whole list (the objects' types and
+        sizes, and each column's value types).  Anything else is read object
+        by object with :meth:`read`, so the first bad object raises the
+        message ``read`` gives for it.
+        """
+        if {*map(type, raws)} <= {dict} and {*map(len, raws)} <= {len(self._fields)}:
+            try:
+                columns = [[*map(get, raws)] for get in self._getters]
+            except KeyError:
+                pass
+            else:
+                if all(
+                    {*map(type, column)} <= {json_type} and (test is None or all(map(test, column)))
+                    for column, (_, _, json_type, test, _) in zip(columns, self._fields)
+                ):
+                    return columns
+        return [*map(list, zip(*[self.read(raw, where) for raw in raws]))]
 
     def _fail(self, raw: dict, where: str, problem: str) -> None:
         """Raise for *problem*, or first for the unknown keys of *raw*."""

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -48,6 +49,7 @@ __all__ = [
     "Triple",
     "TypedRow",
     "build_entity_graph",
+    "canonical_order",
     "derive_base",
     "ingest_dataset",
     "load_mapping_spec",
@@ -89,6 +91,15 @@ class Literal(_LiteralFields):
     @classmethod
     def _make(cls, iterable) -> Literal:
         return cls(*iterable)
+
+    @classmethod
+    def many(cls, texts: Sequence[str], datatypes: Sequence[str]) -> list[Literal]:
+        """``[Literal(t, d) for t, d in zip(texts, datatypes)]``, checked in
+        one pass; if any datatype is bad, each is made in turn, so the first
+        bad one raises what ``Literal`` raises for it."""
+        if all(map(LITERAL_DATATYPES.__contains__, datatypes)):
+            return [*map(tuple.__new__, repeat(cls), zip(texts, datatypes))]
+        return [*map(cls, texts, datatypes)]
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(self)
@@ -502,9 +513,11 @@ def build_entity_graph(
 
     Dangling links follow the owning dataset's policy: ``error`` aborts the
     build, ``skip`` drops the triple with a warning, ``stub`` creates a typed
-    entity with no values and warns.  Rows of two datasets of one entity type
-    that share an identifier mint the same IRI: the row of the dataset listed
-    first in *spec* is kept and each later one is dropped with an IG3 error.
+    entity with no values and warns once, at the smallest path that links to
+    it, so the findings do not depend on row order.  Rows of two datasets of
+    one entity type that share an identifier mint the same IRI: the row of
+    the dataset listed first in *spec* is kept and each later one is dropped
+    with an IG3 error.
     """
     spec_ids = [entry.id for entry in spec.datasets]
     if set(datasets) != set(spec_ids):
@@ -536,7 +549,9 @@ def build_entity_graph(
     iris_by_dataset = {ds: entity_iris[entity_type] for ds, entity_type in type_by_dataset.items()}
 
     owners: dict[str, str] = {}  # entity IRI -> dataset whose row minted it
-    stubs: dict[str, tuple[Iri, str]] = {}
+    # Each (dataset, id) stubbed -> the path and message of its one LK3
+    # finding: the smallest path among the links to it, whatever the row order.
+    stubs: dict[tuple[str, str], tuple[str, str]] = {}
     triples: list[Triple] = []
     for entry in spec.datasets:
         iris = iris_by_dataset[entry.id]
@@ -565,25 +580,55 @@ def build_entity_graph(
                     if entry.dangling_policy == "skip":
                         findings.append(finding("LK2", path, message + "; link dropped"))
                         continue
-                    findings.append(finding("LK3", path, message + "; stub created"))
-                    stubs[target.value] = (target, type_by_dataset[target_dataset])
-                    ids_by_dataset[target_dataset].add(target_id)
+                    stub = (target_dataset, target_id)
+                    if stub not in stubs or path < stubs[stub][0]:
+                        stubs[stub] = (path, message)
                 triples.append(Triple(subject, predicates[prop], target))
             if entry.shares_property:  # two of its columns may give one triple
                 triples[first:] = dict.fromkeys(triples[first:])
+        # The datasets after this one find its stubs present.
+        for target_dataset, target_id in stubs:
+            ids_by_dataset[target_dataset].add(target_id)
 
-    # A row of another dataset of the stub's type may have minted its IRI.
-    for key, (stub, stub_type) in stubs.items():
-        if key not in owners:
-            triples.append(Triple(stub, predicate_type, type_terms[stub_type]))
+    for (target_dataset, target_id), (path, message) in stubs.items():
+        findings.append(finding("LK3", path, message + "; stub created"))
+        stub = iris_by_dataset[target_dataset][target_id]
+        # A row of another dataset of the stub's type, or a stub of such a
+        # dataset, may have minted its IRI.
+        if stub.value not in owners:
+            owners[stub.value] = target_dataset
+            triples.append(
+                Triple(stub, predicate_type, type_terms[type_by_dataset[target_dataset]])
+            )
 
+    object_kinds = {("type", "iri")}
+    for entry in spec.datasets:
+        object_kinds.update((m.property, m.datatype) for m in entry.data_maps)
+        object_kinds.update((m.property, "iri") for m in entry.link_maps)
     graph = EntityGraph(
         iri=mint_iri(base, ["eg", timestamp_identifier(at)]),
         timestamp=at,
         sources=tuple(spec_ids),
-        triples=tuple(sorted(triples, key=Triple.sort_key)),
+        triples=canonical_order(triples, object_kinds),
     )
     return graph, sort_findings(findings)
+
+
+def canonical_order(
+    triples: list[Triple], object_kinds: set[tuple[str, str]]
+) -> tuple[Triple, ...]:
+    """*triples* in canonical order, the order of ``Triple.sort_key``.
+
+    *object_kinds* holds a ``(name, kind)`` pair for each kind of object
+    that the predicate ``<base>/prop/<name>`` carries in *triples*: ``iri``
+    or a literal datatype.  When no predicate carries two kinds, the
+    triples' own tuple order is canonical order, since IRIs compare by value
+    and literals of one datatype by text, so they are sorted without a key
+    function.
+    """
+    if len({name for name, _ in object_kinds}) == len(object_kinds):
+        return tuple(sorted(triples))
+    return tuple(sorted(triples, key=Triple.sort_key))
 
 
 def _entity_iris(base: Iri, entity_type: str) -> TermTable:

@@ -12,6 +12,7 @@ import io
 import json
 import re
 from functools import partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .core import (
@@ -28,6 +29,7 @@ from .eg import (
     EntityGraph,
     Literal,
     Triple,
+    canonical_order,
     derive_base,
     property_predicate,
     type_iri,
@@ -129,6 +131,65 @@ def _unescape(match: re.Match) -> str:
     return decoded
 
 
+# A line as ``render_ntriples`` writes it: three terms, the first two each
+# followed by one character (a space), then the dot.
+_LINE = re.compile(
+    r'<([^>]*)>.<([^>]*)>.(?:<([^>]*)>|"([^"\\]*(?:\\.[^"\\]*)*)"\^\^<([^>]*)>)\s*\.',
+    re.DOTALL,
+)
+
+
+def parse_ntriples(data: bytes | str) -> tuple[Triple, ...]:
+    """Parse the exporter's line subset: IRI terms and typed literals.
+
+    One regular expression reads each line; a line it does not match is
+    read term by term, which names its first fault.
+    """
+    text = data.decode() if isinstance(data, bytes) else data
+    iris = TermTable(Iri)  # each distinct IRI text is checked and built once
+    triples: list[Triple] = []
+    for line_number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        match = _LINE.fullmatch(line)
+        try:
+            if match is None:
+                triples.append(_read_line(line, iris))
+                continue
+            subject, predicate, object_iri, body, datatype_iri = match.groups()
+            subject, predicate = iris[subject], iris[predicate]
+            if object_iri is not None:
+                obj = iris[object_iri]
+            else:
+                if "\\" in body:
+                    body = _ESCAPE_PAIR.sub(_unescape, body)
+                obj = Literal(body, _datatype(datatype_iri))
+        except (ValueError, IndexError) as exc:
+            raise FormatError(f"line {line_number}: {exc}") from None
+        triples.append(Triple(subject, predicate, obj))
+    return tuple(triples)
+
+
+def _datatype(datatype_iri: str) -> str:
+    datatype = XSD_NAMES.get(datatype_iri)
+    if datatype is None:
+        raise FormatError(f"unsupported literal datatype {datatype_iri!r}")
+    return datatype
+
+
+def _read_line(line: str, iris: TermTable) -> Triple:
+    """The triple of *line*, read term by term, or the error of its first fault."""
+    subject, position = _read_term(line, 0, iris)
+    predicate, position = _read_term(line, position + 1, iris)
+    obj, position = _read_term(line, position + 1, iris)
+    if line[position:].strip() != ".":
+        raise FormatError("missing terminating dot")
+    if not isinstance(subject, Iri) or not isinstance(predicate, Iri):
+        raise FormatError("subject/predicate must be IRIs")
+    return Triple(subject, predicate, obj)
+
+
 def _read_term(text: str, position: int, iris: TermTable) -> tuple[Iri | Literal, int]:
     if text[position] == "<":
         end = text.index(">", position)
@@ -138,35 +199,8 @@ def _read_term(text: str, position: int, iris: TermTable) -> tuple[Iri | Literal
         if not text.startswith("^^<", cursor):
             raise FormatError("literal missing ^^<datatype>")
         end = text.index(">", cursor + 3)
-        datatype_iri = text[cursor + 3:end]
-        datatype = XSD_NAMES.get(datatype_iri)
-        if datatype is None:
-            raise FormatError(f"unsupported literal datatype {datatype_iri!r}")
-        return Literal(value, datatype), end + 1
+        return Literal(value, _datatype(text[cursor + 3:end])), end + 1
     raise FormatError(f"unexpected term at column {position}: {text[position:]!r}")
-
-
-def parse_ntriples(data: bytes | str) -> tuple[Triple, ...]:
-    """Parse the exporter's line subset: IRI terms and typed literals."""
-    text = data.decode() if isinstance(data, bytes) else data
-    iris = TermTable(Iri)  # each distinct IRI text is checked and built once
-    triples: list[Triple] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            subject, position = _read_term(line, 0, iris)
-            predicate, position = _read_term(line, position + 1, iris)
-            obj, position = _read_term(line, position + 1, iris)
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"line {line_number}: {exc}") from None
-        if line[position:].strip() != ".":
-            raise FormatError(f"line {line_number}: missing terminating dot")
-        if not isinstance(subject, Iri) or not isinstance(predicate, Iri):
-            raise FormatError(f"line {line_number}: subject/predicate must be IRIs")
-        triples.append(Triple(subject, predicate, obj))
-    return tuple(triples)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +275,9 @@ _COUNTS = Fields(("entities", "int"), ("triples", "int"))
 _ENTITY = Fields(("iri", "string"), ("type", "string"), ("values", "objects"))
 _VALUE = Fields(("property", "string"), ("datatype", "string"), ("value", "string"))
 _LINK = Fields(("subject", "string"), ("property", "string"), ("object", "string"))
+# A ``(subject, predicate, object)`` tuple -> its Triple, in C: what
+# ``Triple._make`` does, less the length check.
+_triple = partial(tuple.__new__, Triple)
 
 
 def load_entity_graph_json(data: bytes | str) -> EntityGraph:
@@ -248,8 +285,10 @@ def load_entity_graph_json(data: bytes | str) -> EntityGraph:
 
     Raises :class:`FormatError` on a malformed document, including a missing
     or unknown key, a term or ``sources`` item that is not a string, an IRI
-    under an entity's ``values`` (it belongs under ``links``) and an entity
-    listed twice.  ``counts`` is derived on export and not read back.
+    under an entity's ``values`` (it belongs under ``links``), a ``type``
+    property under ``values`` or ``links``, an entity, value or link listed
+    twice and a link whose subject is not a listed entity.  ``counts`` is
+    derived on export and not read back.
     """
     metadata, entities, links = _GRAPH.read(parse_json(data, "entity graph"), "entity graph")
     iri, stamp, sources, counts = _METADATA.read(metadata, "entity graph: metadata")
@@ -261,62 +300,108 @@ def load_entity_graph_json(data: bytes | str) -> EntityGraph:
         base = derive_base(eg_iri)
     except ValueError as exc:
         raise FormatError(f"entity graph: metadata: {exc}") from None
-    predicate_type = type_predicate(base)
+    try:
+        triples = _graph_triples(entities, links, base)
+    except ValueError:
+        _report_fault(entities, links, base)  # finds every fault the bulk checks find
+        raise
+    return EntityGraph(iri=eg_iri, timestamp=timestamp, sources=tuple(sources), triples=triples)
 
-    # Each distinct IRI, type name and property name is checked and built once.
-    iris: dict[str, Iri] = {}
-    type_terms: dict[str, Iri] = {}
-    predicates: dict[str, Iri] = {}
 
-    def term(cache: dict[str, Iri], make, text: str, where: str) -> Iri:
-        found = cache.get(text)
-        if found is None:
-            try:
-                found = cache[text] = make(text)
-            except ValueError as exc:
-                raise FormatError(f"{where}: {exc}") from None
-        return found
+def _graph_triples(entities: list, links: list, base: Iri) -> tuple[Triple, ...]:
+    """The triples of a graph document's entities and links, in canonical
+    order, checked and built a whole list at a time.
+
+    Raises ``ValueError`` at any fault, whose message :func:`_report_fault`
+    then gives.  Each distinct IRI, type and property name is built once.
+    """
+    # A bad object raises here too; _report_fault names it as ``Fields.read`` does.
+    texts, type_names, value_lists = _ENTITY.columns(entities, "entity graph: entity")
+    names, datatypes, values = _VALUE.columns(
+        [*chain.from_iterable(value_lists)], "entity graph: entity"
+    )
+    link_subjects, link_names, link_objects = _LINK.columns(links, "entity graph: link")
+
+    subjects = Iri.many(texts)
+    iris = dict(zip(texts, subjects))
+    link_properties = {*link_names}
+    predicates = {name: property_predicate(base, name) for name in {*names, *link_properties}}
+    if len(iris) < len(texts) or "type" in predicates or not iris.keys() >= {*link_subjects}:
+        raise ValueError("entity graph fault")
+    types = {name: type_iri(base, name) for name in {*type_names}}
+    outside = [*{*link_objects} - iris.keys()]
+    iris.update(zip(outside, Iri.many(outside)))
+
+    type_triples = zip(subjects, repeat(type_predicate(base)), map(types.__getitem__, type_names))
+    value_triples = zip(
+        chain.from_iterable(map(repeat, subjects, map(len, value_lists))),
+        map(predicates.__getitem__, names),
+        Literal.many(values, datatypes),
+    )
+    link_triples = zip(
+        map(iris.__getitem__, link_subjects),
+        map(predicates.__getitem__, link_names),
+        map(iris.__getitem__, link_objects),
+    )
+    triples = [*map(_triple, chain(type_triples, value_triples, link_triples))]
+    object_kinds = {("type", "iri"), *zip(names, datatypes), *zip(link_properties, repeat("iri"))}
+    ordered = canonical_order(triples, object_kinds)
+    if len({*ordered}) < len(ordered):
+        raise ValueError("entity graph fault")
+    return ordered
+
+
+def _report_fault(entities: list, links: list, base: Iri) -> None:
+    """Raise ``FormatError`` for the first fault of a graph document's
+    entities, their values and its links, read one object at a time in
+    document order."""
+
+    def check(make, text: str, where: str) -> None:
+        try:
+            make(text)
+        except ValueError as exc:
+            raise FormatError(f"{where}: {exc}") from None
 
     type_term, predicate = partial(type_iri, base), partial(property_predicate, base)
-    triples: list[Triple] = []
+    listed: set[str] = set()
+    facts: set[tuple[str, ...]] = set()
     for raw in entities:
         entity_iri, type_name, values = _ENTITY.read(raw, "entity graph: entity")
         where = f"entity graph: entity {entity_iri}"
-        if entity_iri in iris:
+        if entity_iri in listed:
             raise FormatError(f"{where} is listed more than once")
-        subject = term(iris, Iri, entity_iri, where)
-        type_object = term(type_terms, type_term, type_name, where)
-        triples.append(Triple(subject, predicate_type, type_object))
+        listed.add(entity_iri)
+        check(Iri, entity_iri, where)
+        check(type_term, type_name, where)
         for value_raw in values:
             name, datatype, text = _VALUE.read(value_raw, where)
+            if name == "type":
+                raise FormatError(f"{where}: types belong to entities, not values")
             if datatype == "iri":
                 raise FormatError(f"{where}: IRI values belong under 'links', not 'values'")
             if datatype not in LITERAL_DATATYPES:
                 raise FormatError(
                     f"{where}: literal datatype {datatype!r} is not one of {LITERAL_DATATYPES}"
                 )
-            triples.append(
-                Triple(subject, term(predicates, predicate, name, where), Literal(text, datatype))
-            )
+            check(predicate, name, where)
+            if (entity_iri, name, datatype, text) in facts:
+                raise FormatError(
+                    f"{where}: {datatype} value {text!r} of {name!r} is listed more than once"
+                )
+            facts.add((entity_iri, name, datatype, text))
     for raw in links:
         subject, name, object_iri = _LINK.read(raw, "entity graph: link")
         where = f"entity graph: link from {subject}"
         if name == "type":
             raise FormatError(f"{where}: types belong to entities, not links")
-        triples.append(
-            Triple(
-                term(iris, Iri, subject, where),
-                term(predicates, predicate, name, where),
-                term(iris, Iri, object_iri, where),
-            )
-        )
-
-    return EntityGraph(
-        iri=eg_iri,
-        timestamp=timestamp,
-        sources=tuple(sources),
-        triples=tuple(sorted(triples, key=Triple.sort_key)),
-    )
+        check(Iri, subject, where)
+        check(predicate, name, where)
+        check(Iri, object_iri, where)
+        if subject not in listed:
+            raise FormatError(f"{where}: subject is not a listed entity")
+        if (subject, name, object_iri) in facts:
+            raise FormatError(f"{where}: link {name!r} to {object_iri} is listed more than once")
+        facts.add((subject, name, object_iri))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ from facetforge.eg import (
     Literal,
     Triple,
     build_entity_graph,
+    canonical_order,
     ingest_dataset,
     load_mapping_spec,
     read_table,
 )
-from facetforge.etg import DataProperty, EntityType, ground
+from facetforge.etg import DataProperty, EntityType, ground, load_etg
 from facetforge.exports import (
     export_fca,
     export_jsongraph,
@@ -72,6 +73,93 @@ class TestTripleContract:
         assert sorted(parsed, key=Triple.sort_key) == list(figure_eg.triples)
         for triples in (figure_eg.triples, loaded.triples, parsed):
             assert {type(t) for t in triples} == {Triple}
+
+
+def canonical(triples):
+    return sorted(triples, key=Triple.sort_key)
+
+
+class TestCanonicalOrder:
+    """Builds and both loaders give ``Triple.sort_key`` order, also where a
+    predicate carries objects of two kinds, so tuple order is not it."""
+
+    @pytest.fixture(scope="class")
+    def mixed_graph(self, du_ontology, tables):
+        """``home`` is a string on people and a link from places; ``code``
+        is a string on people and an integer on places."""
+        etg_document = json.loads(fixture_text("du.etg.json"))
+        etg_document["data_properties"] += [
+            {"name": "home", "domain": "Person", "datatype": "string"},
+            {"name": "code", "domain": "Person", "datatype": "string"},
+            {"name": "code", "domain": "Place", "datatype": "integer"},
+        ]
+        etg_document["object_properties"].append(
+            {"name": "home", "domain": "Place", "range": "Person"}
+        )
+        schema_graph, _ = ground(
+            du_ontology, load_etg(json.dumps(etg_document)), {"en-book-1": "Publication"}
+        )
+        spec_document = mapping_document()
+        people, places = spec_document["datasets"][1], spec_document["datasets"][3]
+        people["data_maps"] += [
+            {"column": "home", "property": "home", "datatype": "string"},
+            {"column": "code", "property": "code", "datatype": "string"},
+        ]
+        places["data_maps"].append({"column": "code", "property": "code", "datatype": "integer"})
+        places["link_maps"] = [{"column": "home", "property": "home", "target": "people"}]
+        spec = load_mapping_spec(json.dumps(spec_document), schema_graph)
+        graph, findings = build_entity_graph(
+            schema_graph, spec,
+            dict(
+                tables,
+                people=[dict(row, home="zz", code="x") for row in tables["people"]],
+                places=[dict(row, home="schumacher", code="7") for row in tables["places"]],
+            ),
+            BASE, AT,
+        )
+        assert findings == []
+        return graph
+
+    def test_build_and_loaders_on_mixed_predicates(self, mixed_graph):
+        kinds = {
+            (t.predicate.value.rsplit("/", 1)[1], getattr(t.object, "datatype", "iri"))
+            for t in mixed_graph.triples
+        }
+        assert {("home", "string"), ("home", "iri")} <= kinds
+        assert {("code", "string"), ("code", "integer")} <= kinds
+        assert list(mixed_graph.triples) == canonical(mixed_graph.triples)
+        assert load_entity_graph_json(export_jsongraph(mixed_graph)) == mixed_graph
+        parsed = parse_ntriples(export_ntriples(mixed_graph))
+        assert canonical(parsed) == list(mixed_graph.triples)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # An IRI and a literal object of ``author``, and two datatypes of ``note``:
+            # in tuple order the literal and the string come first.
+            [{"property": "author", "datatype": "string", "value": "a"}],
+            [
+                {"property": "note", "datatype": "string", "value": "1"},
+                {"property": "note", "datatype": "integer", "value": "2"},
+            ],
+        ],
+    )
+    def test_loaders_on_one_subject_with_two_kinds(self, figure_eg, values):
+        payload = json.loads(export_jsongraph(figure_eg))
+        payload["entities"][-1]["values"] += values
+        loaded = load_entity_graph_json(json.dumps(payload))
+        assert len(loaded.triples) == len(figure_eg.triples) + len(values)
+        assert list(loaded.triples) == canonical(loaded.triples) != sorted(loaded.triples)
+        parsed = parse_ntriples(export_ntriples(loaded))
+        assert canonical(parsed) == list(loaded.triples)
+
+    def test_canonical_order_sorts_by_tuple_only_with_one_kind_per_predicate(self):
+        s, p = Iri("https://ex.org/du/X/s"), Iri("https://ex.org/du/prop/p")
+        triples = [Triple(s, p, Literal("1", "string")), Triple(s, p, Literal("2", "integer"))]
+        mixed = {("p", "string"), ("p", "integer")}
+        assert list(canonical_order(triples, mixed)) == canonical(triples) == triples[::-1]
+        single = [Triple(s, p, Literal(text, "string")) for text in "ba"]
+        assert list(canonical_order(single, {("p", "string")})) == single[::-1]
 
 
 class TestTermContract:
@@ -129,11 +217,29 @@ class TestTermContract:
             lambda: Literal(text="x", datatype="String"),
             lambda: Literal._make(["x", "float"]),
             lambda: TestTermContract.LITERAL._replace(datatype="iri"),
+            lambda: Iri.many(["https://ex.org/du/a", "https://ex.org/du/b c"]),
+            lambda: Iri.many(["https://ex.org/du/a\nhttps://ex.org/du/b"]),
+            lambda: Iri.many(["https://ex.org/du/a", 42]),
+            lambda: Literal.many(["x", "y"], ["string", "iri"]),
         ],
     )
     def test_every_construction_path_checks(self, make):
         with pytest.raises(ValueError, match="invalid IRI|literal datatype must be one of"):
             make()
+
+    def test_many_makes_what_one_at_a_time_makes(self):
+        values = ["https://ex.org/du/a", "http://x.y/é", "urn+x://h/p?q#f"]
+        made = Iri.many(values)
+        assert made == [Iri(value) for value in values] and Iri.many([]) == []
+        assert {type(term) for term in made} == {Iri}
+        literals = Literal.many(["1", "", "2024-01-01"], ["integer", "string", "date"])
+        assert literals == [
+            Literal("1", "integer"), Literal("", "string"), Literal("2024-01-01", "date")
+        ]
+        assert {type(term) for term in literals} == {Literal} and Literal.many([], []) == []
+        with pytest.raises(ValueError) as caught:
+            Iri.many(["https://ex.org/du/a", "bad one", "bad two"])
+        assert "'bad one'" in str(caught.value)
 
     def test_copies_and_pickles_check_and_give_back_equal_terms(self):
         forged = [tuple.__new__(Iri, ("not an IRI",)), tuple.__new__(Literal, ("x", "iri"))]
@@ -317,6 +423,24 @@ class TestBuild:
                 assert stub_triples == [type_triple]
             else:
                 assert stub_iri not in stubbed
+
+    def test_a_stub_is_reported_once_at_its_smallest_path(self, schema_graph, tables):
+        data = mapping_document()
+        for entry in data["datasets"]:
+            entry["dangling_policy"] = "stub"
+        spec = load_mapping_spec(json.dumps(data), schema_graph)
+        book = tables["books"][0]
+        books = [dict(book, id=book_id, author="nobody") for book_id in ("b9", "b10", "b2")]
+        for rows in (books, books[::-1]):
+            graph, findings = build_entity_graph(
+                schema_graph, spec, dict(tables, books=rows), BASE, AT
+            )
+            assert [(f.code, f.path) for f in findings] == [("LK3", "books/b10/author")]
+            assert findings[0].message == (
+                "link target 'nobody' not found in dataset 'people'; stub created"
+            )
+            nobody = Iri(BASE.value + "/Person/nobody")
+            assert sum(t.object == nobody for t in graph.triples) == 3
 
     def test_cross_dataset_id_collision_is_an_error_finding(
         self, schema_graph, tables, figure_eg

@@ -12,7 +12,7 @@ import pytest
 
 from facetforge import build_entity_graph, ground, load_etg, load_mapping_spec
 from facetforge.core import FormatError, Iri
-from facetforge.eg import EntityGraph
+from facetforge.eg import EntityGraph, Literal, Triple
 from facetforge.exports import (
     export_fca,
     export_jsongraph,
@@ -61,8 +61,6 @@ class TestNtriples:
         assert render_ntriples(reparsed) == first
 
     def test_literal_escapes_round_trip(self, figure_eg):
-        from facetforge.eg import Literal, Triple
-
         tricky = Triple(
             Iri("https://ex.org/du/X/a"),
             Iri("https://ex.org/du/prop/note"),
@@ -73,6 +71,41 @@ class TestNtriples:
 
     def test_double_export_identical(self, figure_eg):
         assert export_ntriples(figure_eg) == export_ntriples(figure_eg)
+
+
+A, P, B = "<https://ex.org/du/a>", "<https://ex.org/du/prop/p>", "<https://ex.org/du/b>"
+STRING = "<http://www.w3.org/2001/XMLSchema#string>"
+MALFORMED_LINES = {
+    f"{A} {P} {B}": "missing terminating dot",
+    f"{A} {P} {B} . x": "missing terminating dot",
+    f'"x"^^{STRING} {P} {B} .': "subject/predicate must be IRIs",
+    f'{A} {P} "x .': "unterminated literal",
+    f'{A} {P} "a\\qb"^^{STRING} .': "bad escape \\q in literal",
+    f'{A} {P} "x" .': "literal missing ^^<datatype>",
+    f'{A} {P} "x"^^<http://ex.org/dt> .': "unsupported literal datatype 'http://ex.org/dt'",
+    f"{A} {P} x .": "unexpected term at column 49: 'x .'",
+    f"{A} <no iri> {B} .":
+        "invalid IRI (expected scheme://authority/path, no spaces): 'no iri'",
+    f'{A} <bad p> "a\\qb"^^{STRING} .':
+        "invalid IRI (expected scheme://authority/path, no spaces): 'bad p'",
+    "<https://ex.org/du/a": "substring not found",
+    A: "string index out of range",
+}
+
+
+@pytest.mark.parametrize("line", MALFORMED_LINES)
+def test_malformed_ntriples_line_names_its_line_and_fault(line):
+    with pytest.raises(FormatError) as caught:
+        parse_ntriples(f"{A} {P} {B} .\n\n{line}\n")
+    assert str(caught.value) == f"line 3: {MALFORMED_LINES[line]}"
+
+
+def test_ntriples_lines_may_space_their_terms_loosely():
+    """A tab for a space, and any space around the dot or the line."""
+    ab = Triple(Iri(A[1:-1]), Iri(P[1:-1]), Iri(B[1:-1]))
+    empty = Triple(Iri(A[1:-1]), Iri(P[1:-1]), Literal("", "string"))
+    assert parse_ntriples(f"{A}\t{P}\t{B}.\n {A} {P} {B}\t.") == (ab, ab)
+    assert parse_ntriples(f'  {A} {P} ""^^{STRING}   .  ') == (empty,)
 
 
 class TestJsonGraph:
@@ -133,48 +166,94 @@ def _first_value(payload):
     return payload["entities"][0]["values"][0]
 
 
+HARPER = "https://ex.org/du/Organization/harper-row"
+ENTITY = f"entity graph: entity {HARPER}"
+LINK = f"entity graph: link from {HARPER}"
+
 MALFORMED = {
-    "non-string value": (lambda p: _first_value(p).update(value=5), "'value' must be a string"),
-    "non-string entity iri": (lambda p: p["entities"][0].update(iri=5), "'iri' must be a string"),
+    "non-string value": (
+        lambda p: _first_value(p).update(value=5), f"{ENTITY}: 'value' must be a string"
+    ),
+    "non-string entity iri": (
+        lambda p: p["entities"][0].update(iri=5), "entity graph: entity: 'iri' must be a string"
+    ),
     "non-string type": (
-        lambda p: p["entities"][0].update(type=["Person"]), "'type' must be a string"
+        lambda p: p["entities"][0].update(type=["Person"]),
+        "entity graph: entity: 'type' must be a string",
     ),
     "non-string property": (
-        lambda p: _first_value(p).update(property=None), "'property' must be a string"
+        lambda p: _first_value(p).update(property=None), f"{ENTITY}: 'property' must be a string"
     ),
     "non-string datatype": (
-        lambda p: _first_value(p).update(datatype=1), "'datatype' must be a string"
+        lambda p: _first_value(p).update(datatype=1), f"{ENTITY}: 'datatype' must be a string"
     ),
     "non-string link object": (
-        lambda p: p["links"][0].update(object={}), "'object' must be a string"
+        lambda p: p["links"][0].update(object={}), "entity graph: link: 'object' must be a string"
     ),
-    "sources as a string": (lambda p: p["metadata"].update(sources="abc"), "list of strings"),
+    "sources as a string": (
+        lambda p: p["metadata"].update(sources="abc"),
+        "entity graph: metadata: 'sources' must be a list of strings",
+    ),
     "non-string source": (
-        lambda p: p["metadata"].update(sources=["books", 5]), "list of strings"
+        lambda p: p["metadata"].update(sources=["books", 5]),
+        "entity graph: metadata: 'sources' must be a list of strings",
     ),
     "entity listed twice": (
-        lambda p: p["entities"].append(p["entities"][0]), "listed more than once"
+        lambda p: p["entities"].append(p["entities"][0]), f"{ENTITY} is listed more than once"
     ),
     "IRI under values": (
         lambda p: _first_value(p).update(datatype="iri", value="https://ex.org/home"),
-        "belong under 'links'",
+        f"{ENTITY}: IRI values belong under 'links', not 'values'",
     ),
-    "type as a link": (lambda p: p["links"][0].update(property="type"), "types belong to entities"),
-    "unknown datatype": (lambda p: _first_value(p).update(datatype="float"), "literal datatype"),
-    "missing links": (lambda p: p.pop("links"), "'links'"),
+    "type as a link": (
+        lambda p: p["links"][0].update(property="type"),
+        f"{LINK}: types belong to entities, not links",
+    ),
+    "unknown datatype": (
+        lambda p: _first_value(p).update(datatype="float"),
+        f"{ENTITY}: literal datatype 'float' is not one of ('string', 'integer', 'date')",
+    ),
+    "missing links": (lambda p: p.pop("links"), "entity graph: missing key 'links'"),
     "unknown metadata key": (
         lambda p: p["metadata"].update(extra=1), "entity graph: metadata: unknown keys ['extra']"
     ),
-    "unknown value key": (lambda p: _first_value(p).update(lang="en"), "unknown keys ['lang']"),
-    "counts not counting": (
-        lambda p: p["metadata"]["counts"].update(triples="many"), "'triples' must be an integer"
+    "unknown value key": (
+        lambda p: _first_value(p).update(lang="en"), f"{ENTITY}: unknown keys ['lang']"
     ),
-    "invalid entity iri": (lambda p: p["entities"][0].update(iri="no-scheme"), "invalid IRI"),
+    "counts not counting": (
+        lambda p: p["metadata"]["counts"].update(triples="many"),
+        "entity graph: counts: 'triples' must be an integer",
+    ),
+    "invalid entity iri": (
+        lambda p: p["entities"][0].update(iri="no-scheme"),
+        "entity graph: entity no-scheme:"
+        " invalid IRI (expected scheme://authority/path, no spaces): 'no-scheme'",
+    ),
     "invalid property name": (
-        lambda p: p["links"][0].update(property="founded by"), "illegal at index 7"
+        lambda p: p["links"][0].update(property="founded by"),
+        f"{LINK}: identifier 'founded by': character ' ' illegal at index 7",
     ),
     "invalid timestamp": (
-        lambda p: p["metadata"].update(timestamp="2024-01-01"), "invalid timestamp"
+        lambda p: p["metadata"].update(timestamp="2024-01-01"),
+        "entity graph: metadata: invalid timestamp '2024-01-01': expected YYYY-MM-DDTHH:MM:SSZ",
+    ),
+    "type as a value": (
+        lambda p: _first_value(p).update(property="type"),
+        f"{ENTITY}: types belong to entities, not values",
+    ),
+    "value listed twice": (
+        lambda p: p["entities"][0]["values"].append(_first_value(p)),
+        f"{ENTITY}: string value 'Harper & Row' of 'name' is listed more than once",
+    ),
+    "link listed twice": (
+        lambda p: p["links"].append(p["links"][0]),
+        f"{LINK}: link 'foundedBy' to https://ex.org/du/Person/james-harper"
+        " is listed more than once",
+    ),
+    "link from an unlisted subject": (
+        lambda p: p["links"][0].update(subject="https://ex.org/du/Organization/gone"),
+        "entity graph: link from https://ex.org/du/Organization/gone:"
+        " subject is not a listed entity",
     ),
 }
 
@@ -184,8 +263,37 @@ def test_malformed_json_graph_is_a_format_error(figure_eg, case):
     mutate, message = MALFORMED[case]
     payload = json.loads(export_jsongraph(figure_eg))
     mutate(payload)
-    with pytest.raises(FormatError, match=re.escape(message)):
+    with pytest.raises(FormatError) as caught:
         load_entity_graph_json(json.dumps(payload))
+    assert str(caught.value) == message
+
+
+def test_the_first_fault_in_document_order_is_reported(figure_eg):
+    """Entities, each with its values, then links: the first bad object
+    names the fault, whichever check finds it."""
+    payload = json.loads(export_jsongraph(figure_eg))
+    payload["links"][0].update(property="type")
+    payload["entities"][1]["values"][0].update(value=5)
+    payload["entities"][0].update(type="not a type")
+    with pytest.raises(FormatError) as caught:
+        load_entity_graph_json(json.dumps(payload))
+    assert str(caught.value) == (
+        f"{ENTITY}: identifier 'not a type': character ' ' illegal at index 3"
+    )
+    payload["entities"][0].update(type="Organization")
+    with pytest.raises(FormatError) as caught:
+        load_entity_graph_json(json.dumps(payload))
+    assert str(caught.value) == (
+        "entity graph: entity https://ex.org/du/Person/james-harper: 'value' must be a string"
+    )
+
+
+def test_link_objects_outside_the_graph_load(figure_eg):
+    payload = json.loads(export_jsongraph(figure_eg))
+    payload["links"][0].update(object="https://ex.org/elsewhere/x")
+    graph = load_entity_graph_json(json.dumps(payload))
+    assert Iri("https://ex.org/elsewhere/x") in {t.object for t in graph.triples}
+    assert len(graph.triples) == len(figure_eg.triples)
 
 
 class TestFca:

@@ -65,6 +65,12 @@ TABLE = Fields(
 )
 
 
+FULL = {
+    "name": "n", "label": "L", "note": "N", "flag": True, "count": 3, "tags": ["t"],
+    "items": [{}], "meta": {},
+}
+
+
 class TestFields:
     def test_values_come_in_table_order_with_defaults(self):
         assert TABLE.read({"label": "L", "name": "n"}, "x") == [
@@ -99,6 +105,25 @@ class TestFields:
         with pytest.raises(FormatError) as caught:
             TABLE.read(raw, "x")
         assert str(caught.value) == message
+        # Read in bulk, a list with the object raises the same message.
+        with pytest.raises(FormatError) as caught:
+            TABLE.columns([FULL, raw, FULL, []], "x")
+        assert str(caught.value) == message
+
+    def test_columns_hold_what_read_gives(self):
+        def by_column(raws):
+            return [[TABLE.read(raw, "x")[index] for raw in raws] for index in range(8)]
+
+        assert TABLE.columns([], "x") == [[]] * 8
+        assert TABLE.columns([FULL, dict(FULL, name="m")], "x") == by_column(
+            [FULL, dict(FULL, name="m")]
+        )
+        sparse = [FULL, {"name": "n", "label": "L"}, dict(FULL, note=None)]
+        assert TABLE.columns(sparse, "x") == by_column(sparse)
+        single = Fields(("name", "string"))
+        assert single.columns([{"name": "a"}, {"name": "b"}], "x") == [["a", "b"]]
+        with pytest.raises(FormatError, match=r"^x: 'name' must be a string$"):
+            single.columns([{"name": "a"}, {"name": 1}], "x")
 
 
 # ---------------------------------------------------------------------------
