@@ -181,37 +181,16 @@ class EntityGraph:
         return {name: tuple(terms) for name, terms in names.items()}
 
     @cached_property
-    def interned(self) -> tuple[dict[Iri | Literal, Iri | Literal], tuple[Triple, ...]]:
-        """Each distinct term -> the graph's one object for it, and the
-        triples rewritten over those objects, in the same order (a triple
-        already made of them is kept as it is).
-
-        Equal terms in the rewritten triples are the same object, however
-        the graph was made, so a query compares them with ``is``.  Built
-        from the triples on the first query and kept like ``short_names``;
-        builds, exports and snapshots never read it.
-        """
-        terms: dict[Iri | Literal, Iri | Literal] = {}
-        one = terms.setdefault
-
-        def canonical(triple: Triple) -> Triple:
-            s, p, o = triple
-            own = one(s, s), one(p, p), one(o, o)
-            return triple if own[0] is s and own[1] is p and own[2] is o else Triple(*own)
-
-        return terms, tuple(map(canonical, self.triples))
-
-    @cached_property
     def by_predicate(self) -> dict[Iri, tuple[Triple, ...]]:
-        """Each predicate -> the interned triples that carry it, in graph
-        order: a partition of ``interned``, keyed by the graph's own objects.
+        """Each predicate -> the graph's triples that carry it, in graph
+        order: a partition of ``triples``.
 
-        Built from the interned view by the first query with a constant
-        predicate and kept like it; builds, exports and snapshots never read
-        it.
+        Built from the triples by the first query with a constant predicate
+        and kept like ``short_names``; builds, exports and snapshots never
+        read it.
         """
         groups: dict[Iri, list[Triple]] = {}
-        for triple in self.interned[1]:
+        for triple in self.triples:
             groups.setdefault(triple.predicate, []).append(triple)
         return {predicate: tuple(group) for predicate, group in groups.items()}
 

@@ -132,9 +132,9 @@ def _unescape(match: re.Match) -> str:
 
 
 # A line as ``render_ntriples`` writes it: three terms, the first two each
-# followed by one character (a space), then the dot.
+# followed by one space or one tab, then the dot.
 _LINE = re.compile(
-    r'<([^>]*)>.<([^>]*)>.(?:<([^>]*)>|"([^"\\]*(?:\\.[^"\\]*)*)"\^\^<([^>]*)>)\s*\.',
+    r'<([^>]*)>[ \t]<([^>]*)>[ \t](?:<([^>]*)>|"([^"\\]*(?:\\.[^"\\]*)*)"\^\^<([^>]*)>)\s*\.',
     re.DOTALL,
 )
 
@@ -181,13 +181,21 @@ def _datatype(datatype_iri: str) -> str:
 def _read_line(line: str, iris: TermTable) -> Triple:
     """The triple of *line*, read term by term, or the error of its first fault."""
     subject, position = _read_term(line, 0, iris)
-    predicate, position = _read_term(line, position + 1, iris)
-    obj, position = _read_term(line, position + 1, iris)
+    predicate, position = _read_term(line, _separator(line, position), iris)
+    obj, position = _read_term(line, _separator(line, position), iris)
     if line[position:].strip() != ".":
         raise FormatError("missing terminating dot")
     if not isinstance(subject, Iri) or not isinstance(predicate, Iri):
         raise FormatError("subject/predicate must be IRIs")
     return Triple(subject, predicate, obj)
+
+
+def _separator(line: str, position: int) -> int:
+    """The position after the one space or tab that must follow a term."""
+    if line[position] not in " \t":
+        found = line[position]
+        raise FormatError(f"expected a space or a tab at column {position}, found {found!r}")
+    return position + 1
 
 
 def _read_term(text: str, position: int, iris: TermTable) -> tuple[Iri | Literal, int]:

@@ -76,18 +76,18 @@ def _scan(
 ) -> tuple[list[str], list[tuple[Term, ...]]]:
     """Bindings of one pattern on its own.
 
-    The pattern's constants are the graph's interned terms
-    (``EntityGraph.interned``), so constants and repeated variables compare
-    by identity.  A constant predicate reads only its group of
-    ``EntityGraph.by_predicate``, whose triples all carry it, in time linear
-    in the group; a variable predicate reads every interned triple.  Returns
-    the pattern's distinct variable names and, for each triple read that
-    agrees with its constants and its repeated variables, the values of
-    those variables in the same order.
+    Constants and repeated variables compare by value (``==``, which runs
+    in C for ``Iri`` and ``Literal``).  A constant predicate reads only its
+    group of ``EntityGraph.by_predicate``, whose triples all carry it, in
+    time linear in the group; a variable predicate reads every triple of
+    the graph.  A constant the graph does not hold matches nothing.
+    Returns the pattern's distinct variable names and, for each triple read
+    that agrees with its constants and its repeated variables, the values
+    of those variables in the same order.
     """
     predicate = pattern[1]
     if isinstance(predicate, Variable):
-        matches = eg.interned[1]
+        matches = eg.triples
     else:
         matches = eg.by_predicate.get(predicate, ())
     names: list[str] = []
@@ -95,10 +95,10 @@ def _scan(
     for position, term in enumerate(pattern):
         if not isinstance(term, Variable):
             if position != 1:  # the group already agrees on its predicate
-                matches = [t for t in matches if t[position] is term]
+                matches = [t for t in matches if t[position] == term]
         elif term.name in names:
             earlier = slots[names.index(term.name)]
-            matches = [t for t in matches if t[position] is t[earlier]]
+            matches = [t for t in matches if t[position] == t[earlier]]
         else:
             names.append(term.name)
             slots.append(position)
@@ -108,33 +108,24 @@ def _scan(
 def run_query(eg: EntityGraph, query: Query) -> BindingTable:
     """Evaluate a conjunctive query; rows deduplicated and canonically sorted.
 
-    Each constant is mapped to the graph's own object for it through the
-    graph's interned view (``EntityGraph.interned``); a constant the graph
-    does not hold gives the empty table at once.  Each pattern is then
-    matched on its own, comparing terms by identity: a pattern with a
-    constant predicate scans only that predicate's triples
-    (``EntityGraph.by_predicate``), one with a variable predicate scans all
-    of them.  The graph builds both views in one pass each over the triples
-    on its first query and keeps them.  The matches are hash-joined on the
-    variables they share with the rows so far.  Patterns sharing a variable
-    with those rows go before patterns sharing none, the one with the fewest
-    matches first.  Cost is O(triples read by the scans + rows): the size
-    of each constant predicate's group, and all triples for each variable
-    predicate.
+    Each pattern is matched on its own, comparing terms by value: a pattern
+    with a constant predicate scans only that predicate's triples
+    (``EntityGraph.by_predicate``, which the graph builds in one pass over
+    its triples on its first such query and keeps), one with a variable
+    predicate scans all of them.  A pattern that matches nothing, such as
+    one with a constant the graph does not hold, gives the empty table at
+    once.  The matches are hash-joined on the variables they share with the
+    rows so far.  Patterns sharing a variable with those rows go before
+    patterns sharing none, the one with the fewest matches first.  Cost is
+    O(triples read by the scans + rows): the size of each constant
+    predicate's group, and all triples for each variable predicate.
 
     A variable-free query yields a zero-column table with one row iff every
     pattern is a triple of the graph.
     """
     columns = tuple(query.variables())
-    terms = eg.interned[0]
-    patterns = []
-    for pattern in query.patterns:
-        own = tuple(t if isinstance(t, Variable) else terms.get(t) for t in pattern)
-        if any(t is None for t in own):
-            return BindingTable(columns, ())
-        patterns.append(own)
     pending = []
-    for pattern in patterns:
+    for pattern in query.patterns:
         names, matches = _scan(eg, pattern)
         if not matches:
             return BindingTable(columns, ())

@@ -84,6 +84,8 @@ MALFORMED_LINES = {
     f'{A} {P} "x" .': "literal missing ^^<datatype>",
     f'{A} {P} "x"^^<http://ex.org/dt> .': "unsupported literal datatype 'http://ex.org/dt'",
     f"{A} {P} x .": "unexpected term at column 49: 'x .'",
+    f"{A}>{P}x{B} .": "expected a space or a tab at column 21, found '>'",
+    f"{A} {P}x{B} .": "expected a space or a tab at column 48, found 'x'",
     f"{A} <no iri> {B} .":
         "invalid IRI (expected scheme://authority/path, no spaces): 'no iri'",
     f'{A} <bad p> "a\\qb"^^{STRING} .':

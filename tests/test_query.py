@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -338,20 +338,10 @@ def absent_constant_query(rng, graph):
     return Query(tuple(tuple(p) for p in patterns))
 
 
-class TestInternedView:
-    """Queries compare interned terms by identity; the view must answer as
-    the oracles do on graphs and queries whose equal terms are distinct
-    objects, and only a query may build it."""
-
-    def test_view_holds_one_object_per_term(self):
-        rng = random.Random(77)
-        for _ in range(20):
-            graph = with_copied_terms(random_wide_graph(rng, 200))
-            terms, triples = graph.interned
-            assert triples == graph.triples
-            assert set(terms) == set(graph.terms())
-            assert all(terms[term] is term for term in terms)
-            assert len({id(term) for triple in triples for term in triple}) == len(terms)
+class TestDistinctEqualTerms:
+    """Queries compare terms by value; they must answer as the oracles do on
+    graphs and queries whose equal terms are distinct objects, and only a
+    query may build the graph's query views."""
 
     def test_matches_nested_loop_with_distinct_equal_terms(self):
         rng = random.Random(6060)
@@ -410,10 +400,9 @@ class TestInternedView:
 
     def test_view_takes_no_part_in_equality(self, figure_eg):
         graph = replace(figure_eg)
-        assert "interned" not in graph.__dict__
+        assert "by_predicate" not in graph.__dict__
         run_query(graph, Query(((X, iri("prop", "name"), Y),)))
-        for view in ("interned", "by_predicate"):
-            assert view in graph.__dict__ and view not in repr(graph)
+        assert "by_predicate" in graph.__dict__ and "by_predicate" not in repr(graph)
         assert graph == figure_eg and hash(graph) == hash(figure_eg)
         assert repr(graph) == repr(figure_eg)
 
@@ -428,10 +417,13 @@ class TestInternedView:
         parsed = replace(graph, triples=tuple(sorted(parse_ntriples(exported[1]),
                                                      key=Triple.sort_key)))
         for made in (graph, loaded, parsed):
-            assert "interned" not in made.__dict__ and "by_predicate" not in made.__dict__
+            assert "short_names" not in made.__dict__ and "by_predicate" not in made.__dict__
         assert run_query(graph, Query(((X, Y, Z),))).rows
 
     def test_second_query_reads_no_triples(self, figure_eg):
+        """Constant-predicate queries and name lookups read the triples only
+        to build their views; a variable predicate reads them by design."""
+
         class CountingTriples(tuple):
             iterations = 0
 
@@ -441,20 +433,30 @@ class TestInternedView:
 
         triples = CountingTriples(figure_eg.triples)
         graph = replace(figure_eg, triples=triples)
-        queries = [
-            Query(((X, iri("prop", "author"), iri("Person", "schumacher")),
-                   (X, iri("prop", "title"), Y))),
-            Query(((X, P, iri("Person", "schumacher")),
-                   (X, iri("prop", "title"), Y))),
-            Query(((X, X, Y),)),
+        texts = [
+            "?x <author> <schumacher> . ?x <title> ?y .",
+            "?x <type> <Publication> . ?x <publisher> ?y . ?y <foundedBy> ?z .",
         ]
-        expected = [run_query(figure_eg, query) for query in queries]
-        assert [run_query(graph, query) for query in queries] == expected
+
+        def answers(graph):
+            return [run_query(graph, parse_query_text(text, graph)) for text in texts]
+
+        expected = answers(figure_eg)
+        assert all(table.rows for table in expected)
+        assert answers(graph) == expected
         first = triples.iterations
         assert first > 0
         for _ in range(3):
-            assert [run_query(graph, query) for query in queries] == expected
+            assert answers(graph) == expected
         assert triples.iterations == first
+
+    def test_queries_keep_only_the_name_map_and_predicate_groups(self, figure_eg):
+        graph = replace(figure_eg)
+        for text in ("?x <author> <schumacher> .", "?x ?p <harper-row> .", "?x ?x ?y .",
+                     "<b1> <title> ?t . ?b <publisher> ?o ."):
+            run_query(graph, parse_query_text(text, graph))
+        stored = {f.name for f in fields(graph)}
+        assert set(graph.__dict__) == stored | {"short_names", "by_predicate"}
 
 
 def predicate_view_query(rng, graph):
@@ -487,18 +489,16 @@ class TestPredicateView:
     answers must be the oracles' whatever the predicate position holds."""
 
     def test_groups_partition_the_interned_triples(self):
+        """The groups partition the graph's own triples, in graph order."""
         rng = random.Random(515)
         for _ in range(20):
             graph = with_copied_terms(random_wide_graph(rng, rng.randint(50, 300)))
-            terms, triples = graph.interned
             groups = graph.by_predicate
             assert sorted(map(id, (t for g in groups.values() for t in g))) == sorted(
-                map(id, triples)
+                map(id, graph.triples)
             )
             for predicate, group in groups.items():
-                assert terms[predicate] is predicate
-                assert all(t.predicate is predicate for t in group)
-                assert list(group) == [t for t in triples if t.predicate is predicate]
+                assert list(group) == [t for t in graph.triples if t.predicate == predicate]
 
     def test_matches_nested_loop_with_distinct_equal_terms(self):
         rng = random.Random(9191)
