@@ -45,7 +45,8 @@ __all__ = [
 _IDENTIFIER_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-"
 )
-_IDENTIFIER_RE = re.compile(r"[A-Za-z0-9._-]+\Z")
+_IDENTIFIER = r"[A-Za-z0-9._-]+"
+_IDENTIFIER_RE = re.compile(_IDENTIFIER + r"\Z")
 _IRI = r"[A-Za-z][A-Za-z0-9+.-]*://[^/\s]+/\S+"  # scheme://authority/path
 _IRI_RE = re.compile(_IRI + r"\Z")
 _IRI_LINES_RE = re.compile(rf"(?:{_IRI}\n)*{_IRI}")  # no IRI holds a line break

@@ -12,19 +12,22 @@ import csv
 import hashlib
 import io
 import json
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, partial
+from itertools import compress, count, repeat
+from operator import not_
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
+    _IDENTIFIER,
     Fields,
     Finding,
     FormatError,
     Iri,
-    TermTable,
     check,
     check_identifier,
     finding,
@@ -378,15 +381,30 @@ class TypedRow:
 
 
 def read_table(text: str, fmt: str) -> list[dict[str, str]]:
-    """Read a raw table from CSV (RFC 4180, header row) or a JSON array."""
+    """Read a raw table from CSV (RFC 4180, header row) or a JSON array.
+
+    The names in a CSV header must be distinct, and each row must have as
+    many fields as the header; blank lines are skipped.
+    """
     if fmt == "csv":
-        reader = csv.DictReader(io.StringIO(text))
+        reader = csv.reader(io.StringIO(text))
         try:
-            rows = [dict(row) for row in reader]
+            header = next(reader, None)
+            if header is None:
+                raise FormatError("CSV table has no header row")
+            repeated = [name for name, times in Counter(header).items() if times > 1]
+            if repeated:
+                raise FormatError(f"CSV table: column {repeated[0]!r} repeated in the header row")
+            rows = []
+            for number, fields in enumerate(filter(None, reader), start=1):
+                if len(fields) != len(header):
+                    raise FormatError(
+                        f"CSV table row {number}: {len(fields)} fields,"
+                        f" but the header has {len(header)}"
+                    )
+                rows.append(dict(zip(header, fields)))
         except csv.Error as exc:
             raise FormatError(f"CSV table: {exc}") from None
-        if reader.fieldnames is None:
-            raise FormatError("CSV table has no header row")
         return rows
     if fmt == "json":
         rows = parse_json(text, "JSON table")
@@ -398,14 +416,15 @@ def read_table(text: str, fmt: str) -> list[dict[str, str]]:
     raise ValueError(f"unknown table format {fmt!r}")
 
 
-def _cast(value: str, datatype: str) -> Literal | Iri:
+def _cast(value: str, datatype: str) -> str:
+    """The text of the term that the cell *value* gives as *datatype*."""
     if datatype == "string":
-        return Literal(value, "string")
+        return value
     if datatype == "integer":
         stripped = value.strip()
         if not stripped or not stripped.lstrip("+-").isdigit():
             raise ValueError(f"not an integer: {value!r}")
-        return Literal(str(int(stripped)), "integer")
+        return str(int(stripped))
     if datatype == "date":
         stripped = value.strip()
         if len(stripped) == 4 and stripped.isdigit():
@@ -414,10 +433,166 @@ def _cast(value: str, datatype: str) -> Literal | Iri:
             parsed = date.fromisoformat(stripped)
         except ValueError:
             raise ValueError(f"not a date: {value!r}") from None
-        return Literal(parsed.isoformat(), "date")
+        return parsed.isoformat()
     if datatype == "iri":
-        return Iri(value.strip())
+        return Iri(value.strip()).value
     raise ValueError(f"unknown datatype {datatype!r}")
+
+
+def _misfits(pattern: str) -> Callable[[list[str]], Sequence[int]]:
+    """A function from a column's cells to the indices of those that
+    *pattern* does not match in full.  It matches the cells joined by line
+    breaks first, and each cell on its own only when that fails."""
+    cell = re.compile(pattern).fullmatch
+    lines = re.compile(rf"(?:(?:{pattern})\n)*(?:{pattern})").fullmatch
+
+    def misfits(cells: list[str]) -> Sequence[int]:
+        text = "\n".join(cells)
+        if text.count("\n") == len(cells) - 1 and lines(text):
+            return ()
+        return [*compress(count(), map(not_, map(cell, cells)))]
+
+    return misfits
+
+
+def _all_misfits(cells: list[str]) -> Sequence[int]:
+    return range(len(cells))
+
+
+_ID_MISFITS = _misfits(_IDENTIFIER)
+# Datatype -> the misfits among cells that _cast returns unchanged, but for
+# a date's year alone, which stands for 1 January; _cast casts each misfit,
+# and every cell of a datatype not listed.  The date pattern leaves 29
+# February and the year 0000 to _cast.
+_CAST_MISFITS = {
+    "string": lambda cells: (),
+    "integer": _misfits(r"0|-?[1-9][0-9]*"),
+    "date": _misfits(
+        r"(?!0000)[0-9]{4}(?:-(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])"
+        r"|-(?:0[13-9]|1[0-2])-(?:29|30)|-(?:0[13578]|1[02])-31)?"
+    ),
+}
+
+
+def _row_id(dataset_id: str, cell: str) -> str:
+    row_id = cell.strip()
+    if not row_id:
+        raise ValueError(f"dataset {dataset_id}: row with empty id column")
+    return check_identifier(row_id)
+
+
+def _target_id(cell: str) -> str:
+    return check_identifier(cell.strip())
+
+
+def _without(rows: Sequence[int], items: list, dropped: set[int]) -> tuple[list[int], list]:
+    """*rows* and *items*, item by item, less the items of the rows in *dropped*."""
+    keep = [*map(not_, map(dropped.__contains__, rows))]
+    return [*compress(rows, keep)], [*compress(items, keep)]
+
+
+@dataclass
+class _Columns:
+    """One dataset's table, typed a column at a time.
+
+    ``rows`` holds the indices into ``ids`` of the rows that give triples.
+    ``values`` holds one ``(property, rows, terms)`` per data map and
+    ``links`` one ``(link map, rows, target ids)`` per link map, in map
+    order: the term or target id at each place comes from the cell of the
+    row at that place in *rows*.
+    """
+
+    entry: DatasetMapping
+    ids: list[str]
+    rows: Sequence[int]
+    values: list[tuple[str, Sequence[int], list[Literal | Iri]]]
+    links: list[tuple[LinkMap, Sequence[int], list[str]]]
+    findings: list[Finding]
+
+    def drop_rows(self, dropped: set[int]) -> None:
+        self.rows = [row for row in self.rows if row not in dropped]
+        self.values = [(prop, *_without(rows, terms, dropped)) for prop, rows, terms in self.values]
+        self.links = [(link, *_without(rows, ids, dropped)) for link, rows, ids in self.links]
+
+    def drop_links(self, dangling: list[tuple[int, int, str]]) -> None:
+        for index in {index for _, index, _ in dangling}:
+            link_map, rows, targets = self.links[index]
+            dropped = {row for row, link, _ in dangling if link == index}
+            self.links[index] = (link_map, *_without(rows, targets, dropped))
+
+    def dangling(self, present: Mapping[str, set[str]]) -> list[tuple[int, int, str]]:
+        """``(row, link map index, target id)`` of each link to a target
+        that *present* lacks, in row and then link map order."""
+        found = []
+        for index, (link_map, rows, targets) in enumerate(self.links):
+            have = present[link_map.target]
+            if not have.issuperset(targets):
+                missing = compress(zip(rows, targets), map(not_, map(have.__contains__, targets)))
+                found += [(row, index, target) for row, target in missing]
+        return sorted(found)
+
+    def link_path(self, row: int, index: int) -> str:
+        return f"{self.entry.id}/{self.ids[row]}/{self.links[index][0].property}"
+
+
+def _read_columns(entry: DatasetMapping, table: Sequence[Mapping[str, str]]) -> _Columns:
+    """Type *table* per *entry*, one column at a time (see ``ingest_dataset``)."""
+    if table and entry.id_column not in table[0]:
+        raise ValueError(f"dataset {entry.id}: id column {entry.id_column!r} missing")
+    ids = [row.get(entry.id_column) or "" for row in table]
+    for index in _ID_MISFITS(ids):  # in row order, so the first bad id raises
+        ids[index] = _row_id(entry.id, ids[index])
+
+    findings: list[Finding] = []
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        first = []
+        for index, row_id in enumerate(ids):
+            if row_id in seen:
+                findings.append(finding("IG2", f"{entry.id}/{row_id}", "duplicate row identifier"))
+            else:
+                seen.add(row_id)
+                first.append(index)
+        table = [table[index] for index in first]
+        ids = [ids[index] for index in first]
+
+    def column(name: str, misfits, cast) -> tuple[Sequence[int], list[str]]:
+        """The rows with a cell in column *name*, and those cells cast: the
+        *misfits* are given to *cast*, and one it rejects is left out with
+        an IG1 warning."""
+        cells = [row.get(name) for row in table]
+        rows: Sequence[int] = range(len(cells))
+        if not all(cells):
+            rows, cells = [*compress(rows, cells)], [*compress(cells, cells)]
+        misfit = misfits(cells)
+        if misfit:
+            keep = [True] * len(cells)
+            for index in misfit:
+                try:
+                    cells[index] = cast(cells[index])
+                except ValueError as exc:
+                    path = f"{entry.id}/{ids[rows[index]]}/{name}"
+                    findings.append(finding("IG1", path, str(exc)))
+                    keep[index] = False
+            rows, cells = [*compress(rows, keep)], [*compress(cells, keep)]
+        return rows, cells
+
+    values = []
+    for data_map in entry.data_maps:
+        datatype = data_map.datatype
+        misfits = _CAST_MISFITS.get(datatype, _all_misfits)
+        rows, texts = column(data_map.column, misfits, partial(_cast, datatype=datatype))
+        if datatype == "date":  # _cast gives ten characters
+            texts = [text + "-01-01" if len(text) == 4 else text for text in texts]
+        if datatype == "iri":
+            values.append((data_map.property, rows, Iri.many(texts)))
+        else:
+            values.append((data_map.property, rows, Literal.many(texts, [datatype] * len(texts))))
+    links = [
+        (link_map, *column(link_map.column, _ID_MISFITS, _target_id))
+        for link_map in entry.link_maps
+    ]
+    return _Columns(entry, ids, range(len(ids)), values, links, findings)
 
 
 def ingest_dataset(
@@ -426,59 +601,43 @@ def ingest_dataset(
     """Type one raw table per its dataset mapping.
 
     Cast failures drop the cell with an IG1 warning; duplicate row ids keep
-    the first row and yield an IG2 error finding.
+    the first row and yield an IG2 error finding.  An empty or bad row id
+    raises ``ValueError`` for the first row that has one.
+
+    Cost: each column is read by one list comprehension, then checked and
+    cast in a few C-level passes: one match over the column's cells joined
+    by line breaks, then ``map`` and ``compress``.  Python looks at a cell
+    on its own only when it fails its column's check, and at each row
+    only when ids repeat (IG2).
     """
-    if table and entry.id_column not in table[0]:
-        raise ValueError(f"dataset {entry.id}: id column {entry.id_column!r} missing")
-
-    rows: list[TypedRow] = []
-    findings: list[Finding] = []
-    seen: set[str] = set()
-    for raw in table:
-        row_id = (raw.get(entry.id_column) or "").strip()
-        if not row_id:
-            raise ValueError(f"dataset {entry.id}: row with empty id column")
-        check_identifier(row_id)
-        if row_id in seen:
-            findings.append(
-                finding("IG2", f"{entry.id}/{row_id}", "duplicate row identifier")
-            )
-            continue
-        seen.add(row_id)
-
-        values: list[tuple[str, Literal | Iri]] = []
-        for data_map in entry.data_maps:
-            cell = raw.get(data_map.column)
-            if cell is None or cell == "":
-                continue
-            try:
-                values.append((data_map.property, _cast(cell, data_map.datatype)))
-            except ValueError as exc:
-                findings.append(
-                    finding("IG1", f"{entry.id}/{row_id}/{data_map.column}", str(exc))
-                )
-
-        links: list[tuple[str, str, str]] = []
-        for link_map in entry.link_maps:
-            cell = raw.get(link_map.column)
-            if cell is None or cell == "":
-                continue
-            target_id = cell.strip()
-            try:
-                check_identifier(target_id)
-            except ValueError as exc:
-                findings.append(
-                    finding("IG1", f"{entry.id}/{row_id}/{link_map.column}", str(exc))
-                )
-                continue
-            links.append((link_map.property, link_map.target, target_id))
-
-        rows.append(TypedRow(row_id, tuple(values), tuple(links)))
-    return rows, sort_findings(findings)
+    columns = _read_columns(entry, table)
+    values: list[list[tuple[str, Literal | Iri]]] = [[] for _ in columns.ids]
+    links: list[list[tuple[str, str, str]]] = [[] for _ in columns.ids]
+    for prop, rows, terms in columns.values:
+        for row, term in zip(rows, terms):
+            values[row].append((prop, term))
+    for link_map, rows, targets in columns.links:
+        for row, target in zip(rows, targets):
+            links[row].append((link_map.property, link_map.target, target))
+    typed = [TypedRow(*row) for row in zip(columns.ids, map(tuple, values), map(tuple, links))]
+    return typed, sort_findings(columns.findings)
 
 
 # ---------------------------------------------------------------------------
 # Building
+
+
+_TRIPLE = partial(tuple.__new__, Triple)
+
+
+def _triples(subjects: list[Iri], rows: Sequence[int], predicate: Iri, objects) -> Iterator[Triple]:
+    """``Triple(subjects[row], predicate, object)`` for each row of *rows*
+    and object of *objects* at the same place, made in C."""
+    return map(_TRIPLE, zip(map(subjects.__getitem__, rows), repeat(predicate), objects))
+
+
+def _missing(target_dataset: str, target_id: str) -> str:
+    return f"link target {target_id!r} not found in dataset {target_dataset!r}"
 
 
 def build_entity_graph(
@@ -490,13 +649,20 @@ def build_entity_graph(
 ) -> tuple[EntityGraph, list[Finding]]:
     """Assemble the entity graph from raw tables.
 
-    Dangling links follow the owning dataset's policy: ``error`` aborts the
-    build, ``skip`` drops the triple with a warning, ``stub`` creates a typed
-    entity with no values and warns once, at the smallest path that links to
-    it, so the findings do not depend on row order.  Rows of two datasets of
-    one entity type that share an identifier mint the same IRI: the row of
-    the dataset listed first in *spec* is kept and each later one is dropped
-    with an IG3 error.
+    Rows of two datasets of one entity type that share an identifier mint
+    the same IRI: the row of the dataset listed first in *spec* is kept and
+    each later one is dropped with an IG3 error.  A link target is present
+    when a row of its dataset or a stub of this build holds it, whatever
+    the order of the datasets.  A link to a target that is not present
+    follows the owning dataset's dangling policy: ``error`` aborts the build
+    at the first such link in dataset, row and link map order; ``skip``
+    drops the triple with a warning; ``stub`` creates a typed entity with no
+    values and warns once, at the smallest path among the links to it, so
+    the findings depend on neither row nor dataset order.
+
+    Cost: the tables are typed a column at a time (see ``ingest_dataset``),
+    and the IRIs, presence tests and triples are made a column at a time
+    too, so Python works per row only on a row or link with a fault.
     """
     spec_ids = [entry.id for entry in spec.datasets]
     if set(datasets) != set(spec_ids):
@@ -504,81 +670,83 @@ def build_entity_graph(
             f"datasets {sorted(datasets)} do not match the mapping spec {sorted(spec_ids)}"
         )
 
-    findings: list[Finding] = []
-    ingested: dict[str, list[TypedRow]] = {}
-    for entry in spec.datasets:
-        rows, row_findings = ingest_dataset(entry, datasets[entry.id])
-        ingested[entry.id] = rows
-        findings.extend(row_findings)
+    tables = [_read_columns(entry, datasets[entry.id]) for entry in spec.datasets]
+    findings = [item for table in tables for item in table.findings]
+    present = {table.entry.id: set(table.ids) for table in tables}
 
-    ids_by_dataset = {ds: {row.id for row in rows} for ds, rows in ingested.items()}
-    type_by_dataset = {entry.id: entry.entity_type for entry in spec.datasets}
+    claimed: dict[str, dict[str, str]] = {}  # entity type -> row id -> dataset of the row kept
+    for table in tables:
+        dataset = table.entry.id
+        owners = claimed.setdefault(table.entry.entity_type, {})
+        taken = owners.keys() & present[dataset]
+        owners.update(dict.fromkeys(present[dataset] - taken, dataset))
+        for row_id in taken:
+            message = f"row identifier {row_id!r} already used by dataset {owners[row_id]!r}"
+            findings.append(finding("IG3", f"{dataset}/{row_id}", message + "; row dropped"))
+        if taken:
+            table.drop_rows({row for row, row_id in enumerate(table.ids) if row_id in taken})
+
+    # Stubs first: (dataset, id) stubbed -> the smallest path linking to it.
+    stubs: dict[tuple[str, str], str] = {}
+    for table in tables:
+        if table.entry.dangling_policy == "stub":
+            for row, index, target_id in table.dangling(present):
+                stub = (table.links[index][0].target, target_id)
+                path = table.link_path(row, index)
+                if stub not in stubs or path < stubs[stub]:
+                    stubs[stub] = path
+    for target_dataset, target_id in stubs:
+        present[target_dataset].add(target_id)
+
+    for table in tables:  # a stub-policy dataset now finds every target
+        dangling = table.dangling(present)
+        if dangling and table.entry.dangling_policy == "error":
+            row, index, target_id = dangling[0]
+            message = _missing(table.links[index][0].target, target_id)
+            offender = finding("LK1", table.link_path(row, index), message)
+            raise DanglingLinkError(offender.render(), offender)
+        for row, index, target_id in dangling:
+            message = _missing(table.links[index][0].target, target_id) + "; link dropped"
+            findings.append(finding("LK2", table.link_path(row, index), message))
+        table.drop_links(dangling)
+
     predicate_type = type_predicate(base)
-    type_terms = {name: type_iri(base, name) for name in set(type_by_dataset.values())}
+    type_terms = {name: type_iri(base, name) for name in claimed}
+    prefixes = {name: mint_iri(base, [name]).value + "/" for name in claimed}
     predicates = {
         name: property_predicate(base, name)
         for name in {
             m.property for entry in spec.datasets for m in (*entry.data_maps, *entry.link_maps)
         }
     }
-
-    # The term table of this build: each entity IRI is built once, under its
-    # type's prefix, and shared by its row's triples and every link to it.
-    entity_iris = {name: _entity_iris(base, name) for name in type_terms}
-    iris_by_dataset = {ds: entity_iris[entity_type] for ds, entity_type in type_by_dataset.items()}
-
-    owners: dict[str, str] = {}  # entity IRI -> dataset whose row minted it
-    # Each (dataset, id) stubbed -> the path and message of its one LK3
-    # finding: the smallest path among the links to it, whatever the row order.
-    stubs: dict[tuple[str, str], tuple[str, str]] = {}
+    type_by_dataset = {entry.id: entry.entity_type for entry in spec.datasets}
+    subjects = {
+        table.entry.id: Iri.many([*map(prefixes[table.entry.entity_type].__add__, table.ids)])
+        for table in tables
+    }
+    # Dataset -> id -> IRI, for each id present: a row's IRI serves its own
+    # triples and each link to it.
+    iris = {table.entry.id: dict(zip(table.ids, subjects[table.entry.id])) for table in tables}
     triples: list[Triple] = []
-    for entry in spec.datasets:
-        iris = iris_by_dataset[entry.id]
-        for row in ingested[entry.id]:
-            subject = iris[row.id]
-            owner = owners.setdefault(subject.value, entry.id)
-            if owner != entry.id:
-                message = f"row identifier {row.id!r} already used by dataset {owner!r}"
-                findings.append(finding("IG3", f"{entry.id}/{row.id}", message + "; row dropped"))
-                continue
-            first = len(triples)
-            triples.append(Triple(subject, predicate_type, type_terms[entry.entity_type]))
-            for prop, value in row.values:
-                triples.append(Triple(subject, predicates[prop], value))
-            for prop, target_dataset, target_id in row.links:
-                target = iris_by_dataset[target_dataset][target_id]
-                if target_id not in ids_by_dataset[target_dataset]:
-                    path = f"{entry.id}/{row.id}/{prop}"
-                    message = (
-                        f"link target {target_id!r} not found in dataset"
-                        f" {target_dataset!r}"
-                    )
-                    if entry.dangling_policy == "error":
-                        offender = finding("LK1", path, message)
-                        raise DanglingLinkError(offender.render(), offender)
-                    if entry.dangling_policy == "skip":
-                        findings.append(finding("LK2", path, message + "; link dropped"))
-                        continue
-                    stub = (target_dataset, target_id)
-                    if stub not in stubs or path < stubs[stub][0]:
-                        stubs[stub] = (path, message)
-                triples.append(Triple(subject, predicates[prop], target))
-            if entry.shares_property:  # two of its columns may give one triple
-                triples[first:] = dict.fromkeys(triples[first:])
-        # The datasets after this one find its stubs present.
-        for target_dataset, target_id in stubs:
-            ids_by_dataset[target_dataset].add(target_id)
-
-    for (target_dataset, target_id), (path, message) in stubs.items():
-        findings.append(finding("LK3", path, message + "; stub created"))
-        stub = iris_by_dataset[target_dataset][target_id]
-        # A row of another dataset of the stub's type, or a stub of such a
-        # dataset, may have minted its IRI.
-        if stub.value not in owners:
-            owners[stub.value] = target_dataset
-            triples.append(
-                Triple(stub, predicate_type, type_terms[type_by_dataset[target_dataset]])
-            )
+    for (target_dataset, target_id), path in stubs.items():
+        message = _missing(target_dataset, target_id) + "; stub created"
+        findings.append(finding("LK3", path, message))
+        entity_type = type_by_dataset[target_dataset]
+        stub = iris[target_dataset][target_id] = Iri(prefixes[entity_type] + target_id)
+        if target_id not in claimed[entity_type]:  # else a row or a stub typed its IRI
+            claimed[entity_type][target_id] = target_dataset
+            triples.append(Triple(stub, predicate_type, type_terms[entity_type]))
+    for table in tables:
+        row_iris = subjects[table.entry.id]
+        type_term = type_terms[table.entry.entity_type]
+        triples += _triples(row_iris, table.rows, predicate_type, repeat(type_term))
+        for prop, rows, terms in table.values:
+            triples += _triples(row_iris, rows, predicates[prop], terms)
+        for link_map, rows, targets in table.links:
+            objects = map(iris[link_map.target].__getitem__, targets)
+            triples += _triples(row_iris, rows, predicates[link_map.property], objects)
+    if any(entry.shares_property for entry in spec.datasets):
+        triples = [*dict.fromkeys(triples)]  # two of a row's columns may give one triple
 
     object_kinds = {("type", "iri")}
     for entry in spec.datasets:
@@ -608,13 +776,6 @@ def canonical_order(
     if len({name for name, _ in object_kinds}) == len(object_kinds):
         return tuple(sorted(triples))
     return tuple(sorted(triples, key=Triple.sort_key))
-
-
-def _entity_iris(base: Iri, entity_type: str) -> TermTable:
-    """Entity id -> ``<base>/<type>/<id>``.  The type is checked once, with
-    its prefix; ingest has checked each id."""
-    prefix = mint_iri(base, [entity_type]).value + "/"
-    return TermTable(lambda entity_id: Iri(prefix + entity_id))
 
 
 # ---------------------------------------------------------------------------

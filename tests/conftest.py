@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from facetforge import (
@@ -78,3 +82,18 @@ def figure_eg(schema_graph, mapping_spec, tables):
     graph, findings = build_entity_graph(schema_graph, mapping_spec, tables, BASE, AT)
     assert findings == []
     return graph
+
+
+@pytest.fixture(scope="session")
+def gen():
+    """The benchmark's seeded input generators (``bench/gen.py``), imported
+    from their file as they are."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]

@@ -8,18 +8,35 @@ import itertools
 import json
 import random
 import re
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 
 from facetforge.core import (
     Finding,
     Iri,
     Label,
+    check_identifier,
     finding,
     format_timestamp,
+    mint_iri,
     parse_timestamp,
     sort_findings,
+    timestamp_identifier,
 )
-from facetforge.eg import EntityGraph, Literal, Triple, derive_base, type_predicate
+from facetforge.eg import (
+    DanglingLinkError,
+    DataMap,
+    DatasetMapping,
+    EntityGraph,
+    LinkMap,
+    Literal,
+    MappingSpec,
+    Triple,
+    TypedRow,
+    derive_base,
+    property_predicate,
+    type_iri,
+    type_predicate,
+)
 from facetforge.etg import DataProperty, EntityType, EntityTypeGraph, ObjectProperty
 from facetforge.facet import FacetFormula, FormulaSlot
 from facetforge.exports import XSD, render_term
@@ -1124,3 +1141,233 @@ def scan_lint_etg(etg: EntityTypeGraph, config=None) -> list[Finding]:
                 ))
 
     return sort_findings(findings)
+
+
+# ---------------------------------------------------------------------------
+# The entity-graph build a row at a time, kept as an oracle for the column
+# build in facetforge.eg
+
+
+def oracle_cast(value: str, datatype: str) -> Literal | Iri:
+    if datatype == "string":
+        return Literal(value, "string")
+    if datatype == "integer":
+        stripped = value.strip()
+        if not stripped or not stripped.lstrip("+-").isdigit():
+            raise ValueError(f"not an integer: {value!r}")
+        return Literal(str(int(stripped)), "integer")
+    if datatype == "date":
+        stripped = value.strip()
+        if len(stripped) == 4 and stripped.isdigit():
+            stripped = f"{stripped}-01-01"
+        try:
+            parsed = date.fromisoformat(stripped)
+        except ValueError:
+            raise ValueError(f"not a date: {value!r}") from None
+        return Literal(parsed.isoformat(), "date")
+    if datatype == "iri":
+        return Iri(value.strip())
+    raise ValueError(f"unknown datatype {datatype!r}")
+
+
+def oracle_ingest_dataset(entry: DatasetMapping, table) -> tuple[list[TypedRow], list[Finding]]:
+    """``eg.ingest_dataset``, one row and one cell at a time."""
+    if table and entry.id_column not in table[0]:
+        raise ValueError(f"dataset {entry.id}: id column {entry.id_column!r} missing")
+    rows: list[TypedRow] = []
+    findings: list[Finding] = []
+    seen: set[str] = set()
+    for raw in table:
+        row_id = (raw.get(entry.id_column) or "").strip()
+        if not row_id:
+            raise ValueError(f"dataset {entry.id}: row with empty id column")
+        check_identifier(row_id)
+        if row_id in seen:
+            findings.append(finding("IG2", f"{entry.id}/{row_id}", "duplicate row identifier"))
+            continue
+        seen.add(row_id)
+        values = []
+        for data_map in entry.data_maps:
+            cell = raw.get(data_map.column)
+            if cell is None or cell == "":
+                continue
+            try:
+                values.append((data_map.property, oracle_cast(cell, data_map.datatype)))
+            except ValueError as exc:
+                findings.append(finding("IG1", f"{entry.id}/{row_id}/{data_map.column}", str(exc)))
+        links = []
+        for link_map in entry.link_maps:
+            cell = raw.get(link_map.column)
+            if cell is None or cell == "":
+                continue
+            target_id = cell.strip()
+            try:
+                check_identifier(target_id)
+            except ValueError as exc:
+                findings.append(finding("IG1", f"{entry.id}/{row_id}/{link_map.column}", str(exc)))
+                continue
+            links.append((link_map.property, link_map.target, target_id))
+        rows.append(TypedRow(row_id, tuple(values), tuple(links)))
+    return rows, sort_findings(findings)
+
+
+def oracle_build_entity_graph(spec: MappingSpec, datasets, base: Iri, at: datetime):
+    """``eg.build_entity_graph``, one row and one link at a time: IG3 drops
+    rows in dataset order, then the stub-policy links make their stubs, and
+    only then is each link's target looked up among the rows and stubs."""
+    spec_ids = [entry.id for entry in spec.datasets]
+    if set(datasets) != set(spec_ids):
+        raise ValueError(
+            f"datasets {sorted(datasets)} do not match the mapping spec {sorted(spec_ids)}"
+        )
+    findings: list[Finding] = []
+    ingested = {}
+    for entry in spec.datasets:
+        ingested[entry.id], row_findings = oracle_ingest_dataset(entry, datasets[entry.id])
+        findings.extend(row_findings)
+    types = {entry.id: entry.entity_type for entry in spec.datasets}
+    row_ids = {dataset: {row.id for row in rows} for dataset, rows in ingested.items()}
+
+    owners: dict[Iri, str] = {}
+    kept: dict[str, list[TypedRow]] = {}
+    for entry in spec.datasets:
+        kept[entry.id] = []
+        for row in ingested[entry.id]:
+            owner = owners.setdefault(mint_iri(base, [entry.entity_type, row.id]), entry.id)
+            if owner != entry.id:
+                message = f"row identifier {row.id!r} already used by dataset {owner!r}"
+                findings.append(finding("IG3", f"{entry.id}/{row.id}", message + "; row dropped"))
+            else:
+                kept[entry.id].append(row)
+
+    def missing(target_dataset: str, target_id: str) -> str:
+        return f"link target {target_id!r} not found in dataset {target_dataset!r}"
+
+    stubs: dict[tuple[str, str], str] = {}
+    for entry in spec.datasets:
+        if entry.dangling_policy != "stub":
+            continue
+        for row in kept[entry.id]:
+            for prop, target_dataset, target_id in row.links:
+                if target_id in row_ids[target_dataset]:
+                    continue
+                path = f"{entry.id}/{row.id}/{prop}"
+                stub = (target_dataset, target_id)
+                if stub not in stubs or path < stubs[stub]:
+                    stubs[stub] = path
+
+    present = {dataset: set(ids) for dataset, ids in row_ids.items()}
+    for target_dataset, target_id in stubs:
+        present[target_dataset].add(target_id)
+    type_predicate_iri = type_predicate(base)
+    triples: list[Triple] = []
+    for entry in spec.datasets:
+        for row in kept[entry.id]:
+            subject = mint_iri(base, [entry.entity_type, row.id])
+            row_triples = [Triple(subject, type_predicate_iri, type_iri(base, entry.entity_type))]
+            for prop, value in row.values:
+                row_triples.append(Triple(subject, property_predicate(base, prop), value))
+            for prop, target_dataset, target_id in row.links:
+                if target_id not in present[target_dataset]:
+                    path = f"{entry.id}/{row.id}/{prop}"
+                    if entry.dangling_policy == "error":
+                        offender = finding("LK1", path, missing(target_dataset, target_id))
+                        raise DanglingLinkError(offender.render(), offender)
+                    findings.append(
+                        finding("LK2", path, missing(target_dataset, target_id) + "; link dropped")
+                    )
+                    continue
+                target = mint_iri(base, [types[target_dataset], target_id])
+                row_triples.append(Triple(subject, property_predicate(base, prop), target))
+            triples.extend(dict.fromkeys(row_triples))
+
+    for (target_dataset, target_id), path in stubs.items():
+        findings.append(finding("LK3", path, missing(target_dataset, target_id) + "; stub created"))
+        stub = mint_iri(base, [types[target_dataset], target_id])
+        if stub not in owners:
+            owners[stub] = target_dataset
+            triples.append(Triple(stub, type_predicate_iri, type_iri(base, types[target_dataset])))
+    graph = EntityGraph(
+        iri=mint_iri(base, ["eg", timestamp_identifier(at)]),
+        timestamp=at,
+        sources=tuple(spec_ids),
+        triples=tuple(sorted(triples, key=Triple.sort_key)),
+    )
+    return graph, sort_findings(findings)
+
+
+def random_faulty_spec(rng: random.Random) -> MappingSpec:
+    """The fixture's four datasets plus ``people2``, a second dataset of
+    people (so ids collide across datasets: IG3), each under a random
+    dangling policy.  People may carry an ``iri`` column and a second
+    column onto ``name`` (``shares_property``)."""
+    people_maps = [DataMap("name", "name", "string")]
+    if rng.random() < 0.5:
+        people_maps.append(DataMap("alias", "name", "string"))
+    if rng.random() < 0.5:
+        people_maps.append(DataMap("web", "homepage", "iri"))
+    policy = lambda: rng.choice(("error", "skip", "stub"))  # noqa: E731
+    datasets = [
+        DatasetMapping(
+            "books", "Publication", "id",
+            (DataMap("title", "title", "string"), DataMap("date", "datePublished", "date"),
+             DataMap("pages", "numberOfPages", "integer")),
+            (LinkMap("author", "author", "people"), LinkMap("publisher", "publisher", "orgs")),
+            policy(),
+        ),
+        DatasetMapping("people", "Person", "id", tuple(people_maps), (), policy()),
+        DatasetMapping(
+            "orgs", "Organization", "id", (DataMap("name", "name", "string"),),
+            (LinkMap("hq", "headquarteredIn", "places"),
+             LinkMap("founder", "foundedBy", "people2")),
+            policy(),
+        ),
+        DatasetMapping("places", "Place", "id", (DataMap("name", "name", "string"),), (), policy()),
+        DatasetMapping(
+            "people2", "Person", "id", tuple(people_maps),
+            (LinkMap("employer", "worksFor", "orgs"),), policy(),
+        ),
+    ]
+    return MappingSpec(tuple(rng.sample(datasets, len(datasets))))
+
+
+FAULTY_CELLS = {
+    "string": ["Ann", "Ann", "", " ", "  padded ", "two\nlines"],
+    "integer": ["290", "0", "-5", "", " ", "+5", " 12 ", "007", "-0", "many", "1.5", "²", "1\n2"],
+    "date": [
+        "1973", "2001-05-06", "2024-02-29", "", " ", "0000", " 1999 ", "2023-02-29",
+        "2023-13-01", "20230101", "soon", "1973\n", "1973\n1974",
+    ],
+    "iri": ["https://ex.org/x", "", " https://ex.org/y ", "not an iri", "https://ex.org/a b"],
+}
+
+
+def random_faulty_tables(rng: random.Random, spec: MappingSpec, bad_ids: bool) -> dict:
+    """Tables for *spec* with every kind of cell fault: empty, missing and
+    white-space cells, cells that fail their cast, link targets that are
+    missing or not identifiers, and row ids drawn from a small pool, so
+    rows repeat an id (IG2) and datasets of one type share one (IG3).  With
+    *bad_ids* a row id may be empty or not an identifier."""
+    pool = [f"x{i}" for i in range(6)]
+    tables = {}
+    for entry in spec.datasets:
+        rows = []
+        for _ in range(rng.randint(0, 7)):
+            row_id = rng.choice(pool)
+            roll = rng.random()
+            if roll < 0.15:
+                row_id = f" {row_id}\t"
+            elif bad_ids and roll < 0.25:
+                row_id = rng.choice(["", "  ", "x 1", "x/1", "x0\nx1", None])
+            row = {} if row_id is None else {entry.id_column: row_id}
+            for data_map in entry.data_maps:
+                if rng.random() < 0.9:
+                    row[data_map.column] = rng.choice(FAULTY_CELLS[data_map.datatype])
+            for link_map in entry.link_maps:
+                if rng.random() < 0.9:
+                    row[link_map.column] = rng.choice(
+                        [*pool, *pool, "gone", "", " ", f" {pool[0]} ", "a/b", "x0\nx1"]
+                    )
+            rows.append(row)
+        tables[entry.id] = rows
+    return tables

@@ -1,4 +1,4 @@
-"""The fixture pipeline reproduces byte for byte across interpreter runs.
+"""The command-line pipeline reproduces byte for byte across interpreter runs.
 
 Set and dict iteration order of strings depends on ``PYTHONHASHSEED``, so a
 build or a query that leaked it would differ between two processes with
@@ -7,6 +7,7 @@ different seeds while every in-process test still passed.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -50,12 +51,14 @@ STEPS = [
 ]
 
 
-def run_pipeline(directory: Path, hash_seed: str) -> tuple[bytes, bytes, dict[str, bytes]]:
+def run_pipeline(
+    directory: Path, hash_seed: str, steps: list[list[str]] = STEPS
+) -> tuple[bytes, bytes, dict[str, bytes]]:
     directory.mkdir()
     env = {**os.environ, "PYTHONHASHSEED": hash_seed}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", DRIVER, json.dumps(STEPS)],
+        [sys.executable, "-c", DRIVER, json.dumps(steps)],
         cwd=directory, env=env, capture_output=True, timeout=120, check=True,
     )
     files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
@@ -72,3 +75,46 @@ def test_pipeline_is_byte_identical_across_hash_seeds(tmp_path):
     assert b"\ntrue\n-- exit 0\n" in stdout
     assert b"?o\t?p\t?b\n<https://ex.org/du/Organization/harper-row>" in stdout
     assert files["eg.nt"] in stdout
+
+
+def test_benchmark_graph_batch_is_byte_identical_across_hash_seeds(tmp_path, gen):
+    """A small seeded ``graph-build`` batch of the benchmark, with IG1, LK2
+    and LK3 faults under its stub and skip policies, read from CSV files:
+    the build's sets of ids, stubs and dangling links must not leak their
+    iteration order into the graph, its exports or the findings."""
+    batch = gen.graph_batch(gen.rng_for(36, "batch"), 40, 15, 8, 5, faults=True)
+    assert (batch.bad_cells, batch.dangling_hq, batch.stubs) == (3, 2, 2)
+    lexicon = gen.lexicon_documents(gen.rng_for(36, "lexicon"), 300, 12, 2)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    documents = {
+        "lexsem.json": lexicon.lexsem, "schema.json": lexicon.schema,
+        "etg.json": gen.ETG_DOCUMENT, "spec.json": gen.mapping_document("stub", "skip"),
+    }
+    for name, text in documents.items():
+        (inputs / name).write_text(text)
+    data = []
+    for name, rows in batch.tables.items():
+        with open(inputs / f"{name}.csv", "w", newline="") as out:
+            writer = csv.DictWriter(out, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        data += ["--data", f"{name}={inputs / name}.csv"]
+    steps = [
+        ["ontology", "build", "--lexsem", str(inputs / "lexsem.json"), "--language", "en",
+         "--schema", str(inputs / "schema.json"), "--out", "ontology.json"],
+        ["eg", "build", "--ontology", "ontology.json", "--etg", str(inputs / "etg.json"),
+         *[arg for pair in gen.GROUNDING_MAP.items() for arg in ("--map", "=".join(pair))],
+         "--spec", str(inputs / "spec.json"), *data,
+         "--base", gen.BASE, "--at", gen.AT, "--out", "eg.json"],
+        ["eg", "export", "--format", "nt", "eg.json", "--out", "eg.nt"],
+        ["eg", "export", "--format", "fca", "eg.json", "--out", "eg.csv"],
+    ]
+    first = run_pipeline(tmp_path / "seed-1", "1", steps)
+    second = run_pipeline(tmp_path / "seed-999", "999", steps)
+    assert first == second
+    stdout, stderr, files = first
+    assert sorted(files) == ["eg.csv", "eg.json", "eg.nt", "ontology.json"]
+    assert stdout.count(b"-- exit 0\n") == len(steps)
+    codes = [line.split()[1] for line in stderr.decode().splitlines() if line.startswith("warning")]
+    assert {"IG1", "LK2", "LK3"} <= set(codes)

@@ -4,6 +4,8 @@ import copy
 import hashlib
 import json
 import pickle
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -28,7 +30,14 @@ from facetforge.exports import (
     parse_ntriples,
 )
 from facetforge.fixtures import fixture_text
-from helpers import AT, BASE
+from helpers import (
+    AT,
+    BASE,
+    oracle_build_entity_graph,
+    oracle_ingest_dataset,
+    random_faulty_spec,
+    random_faulty_tables,
+)
 
 
 def mapping_document(**overrides):
@@ -588,3 +597,70 @@ class TestMinting:
             with pytest.raises(ValueError) as exc:
                 build_entity_graph(schema_graph, spec, dict(tables, odd=[]), BASE, AT)
             assert str(exc.value) == message, case
+
+
+def outcome(call, *args):
+    """What *call* returns, or the type, text and finding of the
+    ``ValueError`` it raises (``DanglingLinkError`` is one)."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "finding", None)
+
+
+class TestColumnBuildMatchesRowOracle:
+    """The column-at-a-time build against ``helpers.oracle_build_entity_graph``,
+    which types and assembles one row at a time, on tables with every kind
+    of fault: equal triples and findings, or the same error for the first
+    fault in dataset, row and column order."""
+
+    def test_build(self, schema_graph):
+        rng = random.Random(20241020)
+        seen = Counter()
+        for case in range(400):
+            spec = random_faulty_spec(rng)
+            tables = random_faulty_tables(rng, spec, bad_ids=case % 8 == 0)
+            expected = outcome(oracle_build_entity_graph, spec, tables, BASE, AT)
+            assert outcome(build_entity_graph, schema_graph, spec, tables, BASE, AT) == expected
+            if isinstance(expected[0], type):
+                seen[expected[0].__name__] += 1
+            else:
+                seen["built"] += 1
+                seen.update(f.code for f in expected[1])
+                seen["shares_property"] += any(e.shares_property for e in spec.datasets)
+        assert min(seen[key] for key in (
+            "built", "ValueError", "DanglingLinkError", "shares_property",
+            "IG1", "IG2", "IG3", "LK2", "LK3",
+        )) >= 5, seen
+
+    def test_ingest(self):
+        rng = random.Random(20241021)
+        raised = 0
+        for case in range(200):
+            spec = random_faulty_spec(rng)
+            tables = random_faulty_tables(rng, spec, bad_ids=case % 4 == 0)
+            for entry in spec.datasets:
+                expected = outcome(oracle_ingest_dataset, entry, tables[entry.id])
+                assert outcome(ingest_dataset, entry, tables[entry.id]) == expected
+                raised += isinstance(expected[0], type)
+        assert raised >= 10
+
+    def test_stub_and_skip_agree_whatever_the_dataset_order(self, schema_graph, tables):
+        """Books under ``stub`` and orgs under ``skip`` both link to a
+        missing ``nobody``: the skipped link finds the stub either way."""
+        data = mapping_document()
+        data["datasets"][0]["dangling_policy"] = "stub"
+        data["datasets"][2]["dangling_policy"] = "skip"
+        spec = load_mapping_spec(json.dumps(data), schema_graph)
+        broken = dict(
+            tables,
+            books=[dict(tables["books"][0], author="nobody")],
+            orgs=[dict(tables["orgs"][0], founder="nobody")],
+        )
+        nobody = Iri(BASE.value + "/Person/nobody")
+        for order in (spec.datasets, spec.datasets[::-1]):
+            graph, findings = build_entity_graph(
+                schema_graph, replace(spec, datasets=order), broken, BASE, AT
+            )
+            assert [(f.code, f.path) for f in findings] == [("LK3", "books/b1/author")]
+            assert sum(t.object == nobody for t in graph.triples) == 2

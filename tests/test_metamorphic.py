@@ -3,16 +3,19 @@ input that must leave the output byte for byte as it was."""
 
 from __future__ import annotations
 
-import importlib.util
+import itertools
 import json
 import random
-import sys
 from dataclasses import replace
 from pathlib import Path
 
-import pytest
-
-from facetforge.eg import MappingSpec, Triple, build_entity_graph, load_mapping_spec
+from facetforge.eg import (
+    DANGLING_POLICIES,
+    MappingSpec,
+    Triple,
+    build_entity_graph,
+    load_mapping_spec,
+)
 from facetforge.exports import (
     export_fca,
     export_jsongraph,
@@ -20,23 +23,10 @@ from facetforge.exports import (
     load_entity_graph_json,
     parse_ntriples,
 )
-from helpers import AT, BASE, random_du_tables
+from facetforge.fixtures import fixture_text
+from helpers import AT, BASE, random_du_tables, random_faulty_tables
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-@pytest.fixture(scope="module")
-def gen():
-    """The benchmark's seeded input generators (``bench/gen.py``), imported
-    from their file as they are."""
-    spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
 
 
 def exports(graph):
@@ -104,6 +94,30 @@ class TestRowOrder:
             assert again_findings == findings
             assert export_ntriples(again) == export_ntriples(graph)
             assert export_fca(again) == export_fca(graph)
+
+    def test_every_dataset_order_with_mixed_policies(self, schema_graph):
+        """Stubs, skipped links and the links that find a stub do not
+        depend on the order of the datasets either.  The datasets with
+        links take ``skip`` or ``stub``: under ``error`` the first missing
+        target in dataset order raises."""
+        rng = random.Random(53)
+        data = json.loads(fixture_text("du.mapping.json"))
+        codes = set()
+        for _ in range(25):
+            for entry in data["datasets"]:
+                choices = ("skip", "stub") if entry["link_maps"] else DANGLING_POLICIES
+                entry["dangling_policy"] = rng.choice(choices)
+            spec = load_mapping_spec(json.dumps(data), schema_graph)
+            tables = random_faulty_tables(rng, spec, bad_ids=False)
+            graph, findings = build_entity_graph(schema_graph, spec, tables, BASE, AT)
+            codes.update(f.code for f in findings)
+            for order in itertools.permutations(spec.datasets):
+                again, again_findings = build_entity_graph(
+                    schema_graph, MappingSpec(order), tables, BASE, AT
+                )
+                assert again == replace(graph, sources=again.sources)
+                assert again_findings == findings
+        assert {"LK2", "LK3"} <= codes
 
 
 class TestRoundTrips:

@@ -230,6 +230,39 @@ def test_csv_reader_errors_are_format_errors():
         read_table("id,title\na," + "x" * 200_000 + "\n", "csv")
 
 
+RAGGED_CSV = {
+    "id,name\na,Ann,EXTRA\n": "CSV table row 1: 3 fields, but the header has 2",
+    "id,name\na,Ann\n\nb\n": "CSV table row 2: 1 fields, but the header has 2",
+    "id,id\na,b\n": "CSV table: column 'id' repeated in the header row",
+}
+
+
+@pytest.mark.parametrize("text", RAGGED_CSV)
+def test_ragged_or_ambiguous_csv_is_a_format_error(text, tmp_path, capsys):
+    """A row longer or shorter than the header, or a name the header
+    repeats, used to give a ``None`` key or value or drop a column."""
+    with pytest.raises(FormatError) as caught:
+        read_table(text, "csv")
+    assert str(caught.value) == RAGGED_CSV[text]
+    (tmp_path / "books.csv").write_text(text)
+    args = _with(EG_BUILD, fx("books.csv"), str(tmp_path / "books.csv"))
+    args = _with(args, "{ontology}", str(tmp_path / "ontology.json"))
+    args = _with(args, "{out}", str(tmp_path / "eg.json"))
+    assert main(_with(ONTOLOGY_BUILD, "{out}", str(tmp_path / "ontology.json"))) == 0
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {RAGGED_CSV[text]}\n"
+    assert not (tmp_path / "eg.json").exists()
+
+
+def test_shipped_csv_fixtures_read():
+    for name in ("books", "people", "orgs", "places"):
+        rows = read_table(fixture_text(f"{name}.csv"), "csv")
+        header = fixture_text(f"{name}.csv").splitlines()[0].split(",")
+        assert rows and all(list(row) == header for row in rows)
+    assert read_table("id,name\n\na,Ann\n\n", "csv") == [{"id": "a", "name": "Ann"}]
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing the loaders and the command line from the shipped fixtures
 
