@@ -10,8 +10,8 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import repeat
-from operator import itemgetter
+from itertools import compress, count, repeat
+from operator import itemgetter, not_
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "format_timestamp",
     "has_errors",
     "mint_iri",
+    "misfits",
     "parent_cycles",
     "parse_json",
     "parse_timestamp",
@@ -49,7 +50,6 @@ _IDENTIFIER = r"[A-Za-z0-9._-]+"
 _IDENTIFIER_RE = re.compile(_IDENTIFIER + r"\Z")
 _IRI = r"[A-Za-z][A-Za-z0-9+.-]*://[^/\s]+/\S+"  # scheme://authority/path
 _IRI_RE = re.compile(_IRI + r"\Z")
-_IRI_LINES_RE = re.compile(rf"(?:{_IRI}\n)*{_IRI}")  # no IRI holds a line break
 _LANGUAGE_RE = re.compile(r"[A-Za-z]{2,8}(?:-[A-Za-z0-9]{1,8})*\Z")
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
@@ -88,6 +88,25 @@ def validate_identifier(text: str) -> Identifier:
     return Identifier(text)
 
 
+def misfits(pattern: str) -> Callable[[Sequence[str]], Sequence[int]]:
+    """A function from a column's cells to the indices of those that
+    *pattern* does not match in full.  It matches the cells joined by line
+    breaks first, and each cell on its own only when that fails."""
+    cell = re.compile(pattern).fullmatch
+    lines = re.compile(rf"(?:(?:{pattern})\n)*(?:{pattern})").fullmatch
+
+    def find(cells: Sequence[str]) -> Sequence[int]:
+        text = "\n".join(cells)
+        if text.count("\n") == len(cells) - 1 and lines(text):
+            return ()
+        return [*compress(count(), map(not_, map(cell, cells)))]
+
+    return find
+
+
+_IRI_MISFITS = misfits(_IRI)
+
+
 class _IriFields(NamedTuple):
     value: str
 
@@ -117,14 +136,12 @@ class Iri(_IriFields):
     def many(cls, values: Sequence[str]) -> list[Iri]:
         """``[Iri(value) for value in values]``, checked in one pass.
 
-        The values are checked as the lines of one text.  If any is bad,
-        each is made in turn, so the first bad one raises what ``Iri``
-        raises for it.
+        The values are checked as the lines of one text (see ``misfits``).
+        If any is bad, each is made in turn, so the first bad one raises
+        what ``Iri`` raises for it.
         """
-        if {*map(type, values)} <= {str}:
-            text = "\n".join(values)
-            if text.count("\n") == len(values) - 1 and _IRI_LINES_RE.fullmatch(text):
-                return [*map(tuple.__new__, repeat(cls), zip(values))]
+        if {*map(type, values)} <= {str} and not _IRI_MISFITS(values):
+            return [*map(tuple.__new__, repeat(cls), zip(values))]
         return [*map(cls, values)]
 
     def __reduce__(self) -> tuple:

@@ -12,15 +12,14 @@ import csv
 import hashlib
 import io
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from functools import cached_property, partial
-from itertools import compress, count, repeat
+from itertools import compress, repeat, starmap
 from operator import not_
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     _IDENTIFIER,
@@ -28,11 +27,13 @@ from .core import (
     Finding,
     FormatError,
     Iri,
+    TermTable,
     check,
     check_identifier,
     finding,
     format_timestamp,
     mint_iri,
+    misfits,
     parse_json,
     sort_findings,
     timestamp_identifier,
@@ -134,8 +135,9 @@ class Entity:
 class EntityGraph:
     """An entity graph, stored once as canonically ordered triples.
 
-    Each entity is the subject of exactly one ``<base>/prop/type`` triple;
-    its values and links are the other triples with that subject.
+    Each entity is the subject of a ``<base>/prop/type`` triple (the last wins);
+    its values are its other triples with a literal object, its links those
+    with an IRI object; a type or property is named by its IRI's last segment.
     """
 
     iri: Iri
@@ -145,14 +147,8 @@ class EntityGraph:
 
     @property
     def entities(self) -> tuple[Entity, ...]:
-        """The typed subjects, in IRI order, derived from the triples on each access."""
-        predicate = type_predicate(derive_base(self.iri)).value
-        types = {
-            t.subject.value: Entity(t.subject, t.object.value.rsplit("/", 1)[1])
-            for t in self.triples
-            if t.predicate.value == predicate
-        }
-        return tuple(types[key] for key in sorted(types))
+        """The typed subjects, in IRI order, read off ``entity_view``."""
+        return tuple(starmap(Entity, self.entity_view[0].items()))
 
     def terms(self) -> list[Iri | Literal]:
         """All distinct terms appearing in the graph, deterministic order."""
@@ -196,6 +192,30 @@ class EntityGraph:
         for triple in self.triples:
             groups.setdefault(triple.predicate, []).append(triple)
         return {predicate: tuple(group) for predicate, group in groups.items()}
+
+    @cached_property
+    def entity_view(self) -> tuple[dict, dict, tuple]:
+        """``(types, values, links)``: each typed subject to its type name, in
+        IRI order; each subject to its sorted ``(property, datatype, text)``
+        values; the sorted ``(subject, property, object)`` link texts.  Kept
+        like ``short_names``; builds, loads and queries never build it."""
+        predicate_type = type_predicate(derive_base(self.iri))
+        names = TermTable(lambda iri: iri.value.rsplit("/", 1)[1])  # type or property names
+        types: dict[Iri, str] = {}
+        values: dict[Iri, list[tuple[str, str, str]]] = {}
+        links: list[tuple[str, str, str]] = []
+        for subject, predicate, obj in self.triples:
+            if predicate == predicate_type:
+                types[subject] = names[obj]
+            elif isinstance(obj, Literal):
+                values.setdefault(subject, []).append((names[predicate], obj.datatype, obj.text))
+            else:
+                links.append((subject.value, names[predicate], obj.value))
+        return (
+            {subject: types[subject] for subject in sorted(types)},
+            {subject: tuple(sorted(group)) for subject, group in values.items()},
+            tuple(sorted(links)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +299,39 @@ _LINK_MAP = Fields(("column", "string"), ("property", "string"), ("target", "str
 
 
 def load_mapping_spec(document: str | bytes, schema_graph: SchemaGraph) -> MappingSpec:
-    """Load a mapping spec and validate it against the grounded schema."""
-    (datasets_raw,) = _SPEC.read(parse_json(document, "mapping spec"), "mapping spec")
-    etg = schema_graph.etg
-    type_index = etg.type_index()
+    """Load a mapping spec and validate it against the grounded schema.
 
+    Every object is read and checked for its fields first; the spec is then
+    checked as ``build_entity_graph`` checks one built in code.
+    """
+    (datasets_raw,) = _SPEC.read(parse_json(document, "mapping spec"), "mapping spec")
     entries: list[DatasetMapping] = []
-    seen_ids: set[str] = set()
     for raw in datasets_raw:
         dataset_id, entity_type, id_column, data_raw, links_raw, policy = _DATASET.read(
             raw, "mapping spec dataset"
         )
+        where = f"dataset {dataset_id}"
+        data_maps = [DataMap(*_DATA_MAP.read(item, f"{where} data map")) for item in data_raw]
+        link_maps = [LinkMap(*_LINK_MAP.read(item, f"{where} link map")) for item in links_raw]
+        entries.append(
+            DatasetMapping(
+                dataset_id, entity_type, id_column, tuple(data_maps), tuple(link_maps), policy
+            )
+        )
+    spec = MappingSpec(tuple(entries))
+    _check_spec(spec, schema_graph)
+    return spec
+
+
+def _check_spec(spec: MappingSpec, schema_graph: SchemaGraph) -> None:
+    """Raise ``FormatError`` for the first fault of *spec* against the ETG
+    of *schema_graph*, in dataset and then map order; each link's target
+    dataset and range are checked once every dataset has passed."""
+    etg = schema_graph.etg
+    type_index = etg.type_index()
+    seen_ids: set[str] = set()
+    for entry in spec.datasets:
+        dataset_id, entity_type, policy = entry.id, entry.entity_type, entry.dangling_policy
         where = f"dataset {dataset_id}"
         if dataset_id in seen_ids:
             raise FormatError(f"mapping spec: duplicate dataset {dataset_id!r}")
@@ -301,9 +343,7 @@ def load_mapping_spec(document: str | bytes, schema_graph: SchemaGraph) -> Mappi
 
         effective_data = etg.effective_data_properties(entity_type)
         seen_maps: set[tuple[str, str, str]] = set()
-        data_maps: list[DataMap] = []
-        for map_raw in data_raw:
-            data_map = DataMap(*_DATA_MAP.read(map_raw, f"{where} data map"))
+        for data_map in entry.data_maps:
             prop = effective_data.get(data_map.property)
             if prop is None:
                 raise FormatError(
@@ -316,31 +356,21 @@ def load_mapping_spec(document: str | bytes, schema_graph: SchemaGraph) -> Mappi
                     f" declared {prop.datatype!r}, not {data_map.datatype!r}"
                 )
             _check_repeat(dataset_id, "data", data_map, seen_maps)
-            data_maps.append(data_map)
 
         effective_objects = etg.effective_object_properties(entity_type)
-        link_maps: list[LinkMap] = []
-        for map_raw in links_raw:
-            link_map = LinkMap(*_LINK_MAP.read(map_raw, f"{where} link map"))
+        for link_map in entry.link_maps:
             if link_map.property not in effective_objects:
                 raise FormatError(
                     f"{where}: property {link_map.property!r} is not"
                     f" an effective object property of {entity_type!r}"
                 )
             _check_repeat(dataset_id, "link", link_map, seen_maps)
-            link_maps.append(link_map)
 
-        entries.append(
-            DatasetMapping(
-                dataset_id, entity_type, id_column, tuple(data_maps), tuple(link_maps), policy
-            )
-        )
-
-    if not entries:
+    if not spec.datasets:
         raise FormatError("mapping spec: datasets list is empty")
 
-    types = {entry.id: entry.entity_type for entry in entries}
-    for entry in entries:
+    types = {entry.id: entry.entity_type for entry in spec.datasets}
+    for entry in spec.datasets:
         for link_map in entry.link_maps:
             if link_map.target not in types:
                 raise FormatError(
@@ -353,7 +383,6 @@ def load_mapping_spec(document: str | bytes, schema_graph: SchemaGraph) -> Mappi
                     f"dataset {entry.id}: link {link_map.property!r} targets"
                     f" {types[link_map.target]!r}, outside range {prop.range!r}"
                 )
-    return MappingSpec(tuple(entries))
 
 
 def _check_repeat(
@@ -417,7 +446,9 @@ def read_table(text: str, fmt: str) -> list[dict[str, str]]:
 
 
 def _cast(value: str, datatype: str) -> str:
-    """The text of the term that the cell *value* gives as *datatype*."""
+    """The text of the term that the cell *value* gives as *datatype*:
+    ``string``, ``integer``, ``date`` or ``iri``, the datatypes an ETG
+    declares."""
     if datatype == "string":
         return value
     if datatype == "integer":
@@ -434,40 +465,22 @@ def _cast(value: str, datatype: str) -> str:
         except ValueError:
             raise ValueError(f"not a date: {value!r}") from None
         return parsed.isoformat()
-    if datatype == "iri":
-        return Iri(value.strip()).value
-    raise ValueError(f"unknown datatype {datatype!r}")
-
-
-def _misfits(pattern: str) -> Callable[[list[str]], Sequence[int]]:
-    """A function from a column's cells to the indices of those that
-    *pattern* does not match in full.  It matches the cells joined by line
-    breaks first, and each cell on its own only when that fails."""
-    cell = re.compile(pattern).fullmatch
-    lines = re.compile(rf"(?:(?:{pattern})\n)*(?:{pattern})").fullmatch
-
-    def misfits(cells: list[str]) -> Sequence[int]:
-        text = "\n".join(cells)
-        if text.count("\n") == len(cells) - 1 and lines(text):
-            return ()
-        return [*compress(count(), map(not_, map(cell, cells)))]
-
-    return misfits
+    return Iri(value.strip()).value
 
 
 def _all_misfits(cells: list[str]) -> Sequence[int]:
     return range(len(cells))
 
 
-_ID_MISFITS = _misfits(_IDENTIFIER)
+_ID_MISFITS = misfits(_IDENTIFIER)
 # Datatype -> the misfits among cells that _cast returns unchanged, but for
 # a date's year alone, which stands for 1 January; _cast casts each misfit,
 # and every cell of a datatype not listed.  The date pattern leaves 29
 # February and the year 0000 to _cast.
 _CAST_MISFITS = {
     "string": lambda cells: (),
-    "integer": _misfits(r"0|-?[1-9][0-9]*"),
-    "date": _misfits(
+    "integer": misfits(r"0|-?[1-9][0-9]*"),
+    "date": misfits(
         r"(?!0000)[0-9]{4}(?:-(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])"
         r"|-(?:0[13-9]|1[0-2])-(?:29|30)|-(?:0[13578]|1[02])-31)?"
     ),
@@ -580,8 +593,8 @@ def _read_columns(entry: DatasetMapping, table: Sequence[Mapping[str, str]]) -> 
     values = []
     for data_map in entry.data_maps:
         datatype = data_map.datatype
-        misfits = _CAST_MISFITS.get(datatype, _all_misfits)
-        rows, texts = column(data_map.column, misfits, partial(_cast, datatype=datatype))
+        cast_misfits = _CAST_MISFITS.get(datatype, _all_misfits)
+        rows, texts = column(data_map.column, cast_misfits, partial(_cast, datatype=datatype))
         if datatype == "date":  # _cast gives ten characters
             texts = [text + "-01-01" if len(text) == 4 else text for text in texts]
         if datatype == "iri":
@@ -598,7 +611,8 @@ def _read_columns(entry: DatasetMapping, table: Sequence[Mapping[str, str]]) -> 
 def ingest_dataset(
     entry: DatasetMapping, table: Sequence[Mapping[str, str]]
 ) -> tuple[list[TypedRow], list[Finding]]:
-    """Type one raw table per its dataset mapping.
+    """Type one raw table per its dataset mapping, whose data maps carry
+    the datatypes an ETG declares (as a checked spec's do).
 
     Cast failures drop the cell with an IG1 warning; duplicate row ids keep
     the first row and yield an IG2 error finding.  An empty or bad row id
@@ -627,6 +641,8 @@ def ingest_dataset(
 # Building
 
 
+# A ``(subject, predicate, object)`` tuple -> its Triple, in C: what
+# ``Triple._make`` does, less the length check.
 _TRIPLE = partial(tuple.__new__, Triple)
 
 
@@ -660,10 +676,15 @@ def build_entity_graph(
     values and warns once, at the smallest path among the links to it, so
     the findings depend on neither row nor dataset order.
 
+    *spec* is first checked against the ETG of *schema_graph* as
+    ``load_mapping_spec`` checks it, so a spec built in code raises the
+    ``FormatError`` that the same spec loaded from JSON raises.
+
     Cost: the tables are typed a column at a time (see ``ingest_dataset``),
     and the IRIs, presence tests and triples are made a column at a time
     too, so Python works per row only on a row or link with a fault.
     """
+    _check_spec(spec, schema_graph)
     spec_ids = [entry.id for entry in spec.datasets]
     if set(datasets) != set(spec_ids):
         raise ValueError(

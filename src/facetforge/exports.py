@@ -25,6 +25,7 @@ from .core import (
     parse_timestamp,
 )
 from .eg import (
+    _TRIPLE,
     LITERAL_DATATYPES,
     EntityGraph,
     Literal,
@@ -225,38 +226,25 @@ def export_jsongraph(eg: EntityGraph) -> bytes:
     and compact separators, written out here so that each distinct IRI and
     name is encoded once.
     """
-    predicate_type = type_predicate(derive_base(eg.iri)).value
-    names = TermTable(_last_segment)  # predicate or type IRI -> its name
-    types: dict[str, str] = {}  # entity IRI -> type name
-    values: dict[str, list[tuple[str, str, str]]] = {}
-    links: list[tuple[str, str, str]] = []
-    for t in eg.triples:
-        subject, predicate, obj = t.subject.value, t.predicate.value, t.object
-        if predicate == predicate_type:
-            types[subject] = names[obj.value]
-        elif isinstance(obj, Literal):
-            values.setdefault(subject, []).append((names[predicate], obj.datatype, obj.text))
-        else:
-            links.append((subject, names[predicate], obj.value))
-
+    types, values, links = eg.entity_view
     quoted = TermTable(_json_string)  # IRI or name -> its JSON string
     entities = []
-    for subject in sorted(types):
+    for subject, type_name in types.items():
         entity_values = ",".join(
             [
                 f'{{"property":{quoted[prop]},"datatype":{quoted[datatype]},'
                 f'"value":{_json_string(text)}}}'
-                for prop, datatype, text in sorted(values.get(subject, ()))
+                for prop, datatype, text in values.get(subject, ())
             ]
         )
         entities.append(
-            f'{{"iri":{quoted[subject]},"type":{quoted[types[subject]]},'
+            f'{{"iri":{quoted[subject.value]},"type":{quoted[type_name]},'
             f'"values":[{entity_values}]}}'
         )
     link_objects = ",".join(
         [
             f'{{"subject":{quoted[subject]},"property":{quoted[prop]},"object":{quoted[obj]}}}'
-            for subject, prop, obj in sorted(links)
+            for subject, prop, obj in links
         ]
     )
     metadata = {
@@ -271,10 +259,6 @@ def export_jsongraph(eg: EntityGraph) -> bytes:
     ).encode()
 
 
-def _last_segment(iri_text: str) -> str:
-    return iri_text.rsplit("/", 1)[1]
-
-
 _GRAPH = Fields(("metadata", "object"), ("entities", "objects"), ("links", "objects"))
 _METADATA = Fields(
     ("iri", "string"), ("timestamp", "string"), ("sources", "strings"), ("counts", "object", None)
@@ -283,9 +267,6 @@ _COUNTS = Fields(("entities", "int"), ("triples", "int"))
 _ENTITY = Fields(("iri", "string"), ("type", "string"), ("values", "objects"))
 _VALUE = Fields(("property", "string"), ("datatype", "string"), ("value", "string"))
 _LINK = Fields(("subject", "string"), ("property", "string"), ("object", "string"))
-# A ``(subject, predicate, object)`` tuple -> its Triple, in C: what
-# ``Triple._make`` does, less the length check.
-_triple = partial(tuple.__new__, Triple)
 
 
 def load_entity_graph_json(data: bytes | str) -> EntityGraph:
@@ -351,7 +332,7 @@ def _graph_triples(entities: list, links: list, base: Iri) -> tuple[Triple, ...]
         map(predicates.__getitem__, link_names),
         map(iris.__getitem__, link_objects),
     )
-    triples = [*map(_triple, chain(type_triples, value_triples, link_triples))]
+    triples = [*map(_TRIPLE, chain(type_triples, value_triples, link_triples))]
     object_kinds = {("type", "iri"), *zip(names, datatypes), *zip(link_properties, repeat("iri"))}
     ordered = canonical_order(triples, object_kinds)
     if len({*ordered}) < len(ordered):
@@ -424,23 +405,18 @@ def export_fca(eg: EntityGraph) -> bytes:
     sorted.  A cell is ``1`` iff the entity has at least one value for the
     property (or is of the type).
     """
-    predicate_type = type_predicate(derive_base(eg.iri)).value
-    names = TermTable(_last_segment)  # predicate or type IRI -> its name
-    types: dict[str, str] = {}
-    incidence: dict[str, set[str]] = {}
-    for triple in eg.triples:
-        subject, predicate = triple.subject.value, triple.predicate.value
-        if predicate == predicate_type:
-            types[subject] = "type:" + names[triple.object.value]
-        else:
-            incidence.setdefault(subject, set()).add(names[predicate])
+    entity_types, values, links = eg.entity_view
+    types = {subject.value: "type:" + name for subject, name in entity_types.items()}
+    incidence = {subject.value: {prop for prop, _, _ in group} for subject, group in values.items()}
+    for subject, prop, _ in links:
+        incidence.setdefault(subject, set()).add(prop)
     columns = sorted(set().union(*incidence.values(), types.values()))
     position = {column: index for index, column in enumerate(columns, start=1)}
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(["entity", *columns])
-    for iri_value in sorted(types):
+    for iri_value in types:
         row = [iri_value, *["0"] * len(columns)]
         for column in (*incidence.get(iri_value, ()), types[iri_value]):
             row[position[column]] = "1"

@@ -13,7 +13,11 @@ import pytest
 from facetforge.core import FormatError, Iri, Label, mint_iri
 from facetforge.eg import (
     DanglingLinkError,
+    DataMap,
+    DatasetMapping,
+    LinkMap,
     Literal,
+    MappingSpec,
     Triple,
     build_entity_graph,
     canonical_order,
@@ -305,6 +309,52 @@ class TestLoadMappingSpec:
         data["datasets"][0]["link_maps"][0]["target"] = "orgs"
         with pytest.raises(FormatError, match="outside range 'Person'"):
             load_mapping_spec(json.dumps(data), schema_graph)
+
+    IN_CODE_FAULTS = {
+        "undeclared data property": (
+            lambda people: people["data_maps"].append(
+                {"column": "web", "property": "homepage", "datatype": "iri"}
+            ),
+            "dataset people: property 'homepage' is not an effective data property of 'Person'",
+        ),
+        "undeclared object property": (
+            lambda people: people["link_maps"].append(
+                {"column": "employer", "property": "worksFor", "target": "orgs"}
+            ),
+            "dataset people: property 'worksFor' is not an effective object property of 'Person'",
+        ),
+        "datatype": (
+            lambda people: people["data_maps"][0].update(datatype="integer"),
+            "dataset people: property 'name' is declared 'string', not 'integer'",
+        ),
+        "policy": (
+            lambda people: people.update(dangling_policy="ignore"),
+            "dataset people: unknown dangling policy 'ignore'",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", IN_CODE_FAULTS)
+    def test_a_build_checks_a_spec_built_in_code_as_the_loader_does(
+        self, fault, schema_graph, tables
+    ):
+        data = mapping_document()
+        mutate, message = self.IN_CODE_FAULTS[fault]
+        mutate(data["datasets"][1])
+        with pytest.raises(FormatError) as loaded:
+            load_mapping_spec(json.dumps(data), schema_graph)
+        assert str(loaded.value) == message
+        spec = MappingSpec(tuple(
+            DatasetMapping(
+                entry["id"], entry["type"], entry["id_column"],
+                tuple(DataMap(**item) for item in entry["data_maps"]),
+                tuple(LinkMap(**item) for item in entry["link_maps"]),
+                entry["dangling_policy"],
+            )
+            for entry in data["datasets"]
+        ))
+        with pytest.raises(FormatError) as built:
+            build_entity_graph(schema_graph, spec, tables, BASE, AT)
+        assert str(built.value) == message
 
 
 class TestIngest:
@@ -614,14 +664,32 @@ class TestColumnBuildMatchesRowOracle:
     of fault: equal triples and findings, or the same error for the first
     fault in dataset, row and column order."""
 
-    def test_build(self, schema_graph):
+    @pytest.fixture(scope="class")
+    def faulty_schema_graph(self, du_ontology):
+        """The fixture ETG plus the ``homepage`` (an ``iri``) and
+        ``worksFor`` properties that ``random_faulty_spec`` maps, so the
+        build's spec check passes and IRI-typed columns stay covered."""
+        document = json.loads(fixture_text("du.etg.json"))
+        document["data_properties"].append(
+            {"name": "homepage", "domain": "Person", "datatype": "iri"}
+        )
+        document["object_properties"].append(
+            {"name": "worksFor", "domain": "Person", "range": "Organization"}
+        )
+        schema_graph, _ = ground(
+            du_ontology, load_etg(json.dumps(document)), {"en-book-1": "Publication"}
+        )
+        return schema_graph
+
+    def test_build(self, faulty_schema_graph):
         rng = random.Random(20241020)
         seen = Counter()
         for case in range(400):
             spec = random_faulty_spec(rng)
             tables = random_faulty_tables(rng, spec, bad_ids=case % 8 == 0)
             expected = outcome(oracle_build_entity_graph, spec, tables, BASE, AT)
-            assert outcome(build_entity_graph, schema_graph, spec, tables, BASE, AT) == expected
+            built = outcome(build_entity_graph, faulty_schema_graph, spec, tables, BASE, AT)
+            assert built == expected
             if isinstance(expected[0], type):
                 seen[expected[0].__name__] += 1
             else:

@@ -7,12 +7,14 @@ import random
 import re
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import cached_property
 
 import pytest
 
 from facetforge import build_entity_graph, ground, load_etg, load_mapping_spec
+from facetforge.cli import parse_query_text
 from facetforge.core import FormatError, Iri
-from facetforge.eg import EntityGraph, Literal, Triple
+from facetforge.eg import Entity, EntityGraph, Literal, Triple
 from facetforge.exports import (
     export_fca,
     export_jsongraph,
@@ -23,6 +25,7 @@ from facetforge.exports import (
     render_term,
 )
 from facetforge.fixtures import fixture_text
+from facetforge.query import run_query
 from helpers import (
     AT,
     BASE,
@@ -359,3 +362,71 @@ class TestAgainstOracles:
         assert export_ntriples(figure_eg) == oracle_render_ntriples(figure_eg.triples)
         assert export_jsongraph(figure_eg) == oracle_export_jsongraph(figure_eg)
         assert export_fca(figure_eg) == oracle_export_fca(figure_eg)
+
+
+class TestEntityView:
+    """``entities`` and the JSON and FCA exports read one view of a graph's
+    entities, built from its triples once."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        """The graphs whose ``entity_view`` is built from now on."""
+        builds = []
+        build = EntityGraph.__dict__["entity_view"].func
+
+        def counted(graph):
+            builds.append(graph)
+            return build(graph)
+
+        view = cached_property(counted)
+        view.__set_name__(EntityGraph, "entity_view")
+        monkeypatch.setattr(EntityGraph, "entity_view", view)
+        return builds
+
+    def test_entities_and_both_exports_build_it_once(self, figure_eg, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        graph = replace(figure_eg)
+        json_text, fca = export_jsongraph(graph), export_fca(graph)
+        assert graph.entities == figure_eg.entities
+        assert (export_jsongraph(graph), export_fca(graph)) == (json_text, fca)
+        assert len(builds) == 1 and builds[0] is graph
+
+    def test_builds_loaders_and_queries_never_build_it(
+        self, schema_graph, mapping_spec, tables, figure_eg, monkeypatch
+    ):
+        json_text, lines = export_jsongraph(figure_eg), export_ntriples(figure_eg)
+        builds = self.count_builds(monkeypatch)
+        built, _ = build_entity_graph(schema_graph, mapping_spec, tables, BASE, AT)
+        loaded = load_entity_graph_json(json_text)
+        parsed = replace(built, triples=parse_ntriples(lines))
+        for graph in (built, loaded, parsed):
+            for text in ("?x <author> ?y . ?y <name> ?n .", "?x ?p <harper-row> ."):
+                assert run_query(graph, parse_query_text(text, graph)).rows
+        assert builds == []
+
+    def test_a_replaced_graph_has_its_own_view(self, figure_eg):
+        graph = replace(figure_eg)
+        view = graph.entity_view
+        again, fewer = replace(graph), replace(graph, triples=graph.triples[1:])
+        assert "entity_view" not in again.__dict__ and "entity_view" not in fewer.__dict__
+        assert again.entity_view == view and again.entity_view is not view
+        assert fewer.entity_view != view
+
+    def test_the_view_takes_no_part_in_equality(self, figure_eg):
+        graph = replace(figure_eg)
+        assert graph.entity_view and "entity_view" in graph.__dict__
+        assert graph == replace(figure_eg) and hash(graph) == hash(figure_eg)
+        assert repr(graph) == repr(figure_eg) and "entity_view" not in repr(graph)
+
+    def test_the_last_type_triple_of_a_subject_wins(self):
+        rng = random.Random(10)
+        for _ in range(200):
+            graph = random_export_graph(rng)
+            shuffled = replace(graph, triples=tuple(rng.sample(graph.triples, len(graph.triples))))
+            for case in (graph, shuffled):
+                types = {
+                    t.subject.value: t.object.value.rsplit("/", 1)[1]
+                    for t in case.triples
+                    if t.predicate.value == "https://ex.org/du/prop/type"
+                }
+                assert case.entities == tuple(Entity(Iri(s), types[s]) for s in sorted(types))

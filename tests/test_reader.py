@@ -400,6 +400,149 @@ def documents(tmp_path_factory, ccc, du_ontology, figure_eg, schema_graph):
     }
 
 
+def _lexsem_synset(document: dict, **changes) -> None:
+    document["languages"]["en"]["synsets"][1].update(changes)
+
+
+# Per loader fault: the fixture it starts from, one change to it, and the
+# message that the loader and the command that reads the fixture give.
+LOADER_FAULTS = {
+    "spec: duplicate dataset": (
+        "du.mapping.json", lambda d: d["datasets"].append(d["datasets"][1]),
+        "mapping spec: duplicate dataset 'people'",
+    ),
+    "spec: unknown entity type": (
+        "du.mapping.json", lambda d: d["datasets"][1].update(type="Robot"),
+        "dataset people: unknown entity type 'Robot'",
+    ),
+    "spec: unknown dangling policy": (
+        "du.mapping.json", lambda d: d["datasets"][1].update(dangling_policy="ignore"),
+        "dataset people: unknown dangling policy 'ignore'",
+    ),
+    "spec: link to an unknown dataset": (
+        "du.mapping.json", lambda d: d["datasets"][0]["link_maps"][0].update(target="authors"),
+        "dataset books: link 'author' targets unknown dataset 'authors'",
+    ),
+    "ETG: dangling parent": (
+        "du.etg.json", lambda d: d["types"][1].update(parent="Being"),
+        "ETG: type Person has dangling parent 'Being'",
+    ),
+    "ETG: bad datatype": (
+        "du.etg.json", lambda d: d["data_properties"][1].update(datatype="float"),
+        "ETG: data property title has bad datatype 'float'",
+    ),
+    "ETG: data property domain undefined": (
+        "du.etg.json", lambda d: d["data_properties"][1].update(domain="Book"),
+        "ETG: data property title domain 'Book' undefined",
+    ),
+    "ETG: object property named type": (
+        "du.etg.json", lambda d: d["object_properties"][0].update(name="type"),
+        "ETG: property name 'type' is reserved",
+    ),
+    "ETG: property declared twice": (
+        "du.etg.json",
+        lambda d: d["data_properties"].append(
+            {"name": "title", "domain": "Publication", "datatype": "string"}
+        ),
+        "ETG: property 'title' declared twice on 'Publication'",
+    ),
+    "ETG: bad provenance timestamp": (
+        "du.etg.json", lambda d: d.update(provenance={"source_id": "du", "timestamp": "2024"}),
+        "ETG provenance: invalid timestamp '2024': expected YYYY-MM-DDTHH:MM:SSZ",
+    ),
+    "lexsem: no lemmas": (
+        "toy.lexsem.json", lambda d: _lexsem_synset(d, lemmas=[]),
+        "language en: synset en-person-1 has no lemmas",
+    ),
+    "lexsem: lemma not lowercase": (
+        "toy.lexsem.json", lambda d: _lexsem_synset(d, lemmas=["person", "Human"]),
+        "language en: lemma 'Human' of en-person-1 is not lowercase",
+    ),
+    "lexsem: catalogue language unknown": (
+        "toy.lexsem.json", lambda d: d["catalogue"][0].update(language="fr"),
+        "catalogue references unknown language 'fr'",
+    ),
+    "lexsem: catalogue root unknown": (
+        "toy.lexsem.json", lambda d: d["catalogue"][0].update(root="en-person-9"),
+        "catalogue references unknown root 'en-person-9'",
+    ),
+    "dataset schema: unknown attribute datatype": (
+        "du.schema.json", lambda d: d["classes"][0]["attributes"][0].update(datatype="text"),
+        "class Book: attribute 'title' has unknown datatype 'text'",
+    ),
+    "dataset schema: duplicate attribute": (
+        "du.schema.json",
+        lambda d: d["classes"][0]["attributes"].append(d["classes"][0]["attributes"][0]),
+        "class Book: duplicate attribute 'title'",
+    ),
+    "catalogue code: duplicate field": (
+        "ccc.catalogue.json",
+        lambda d: d["resource_types"]["Book"].append(
+            {"key": "title", "required": False, "sought": False, "order": 99}
+        ),
+        "resource type Book: duplicate field 'title'",
+    ),
+    "catalogue code: exemption of an unknown type": (
+        "ccc.catalogue.json",
+        lambda d: d["context_exemptions"].append(
+            {"resource_type": "Film", "field": "title", "reason": "r"}
+        ),
+        "context exemption references unknown type 'Film'",
+    ),
+    "catalogue code: exemption of an unknown field": (
+        "ccc.catalogue.json",
+        lambda d: d["context_exemptions"].append(
+            {"resource_type": "Book", "field": "isbn", "reason": "r"}
+        ),
+        "context exemption references unknown field 'isbn'",
+    ),
+    "schedule: empty notation": (
+        "med.schedule.json", lambda d: d["base"].update(notation=""),
+        "base: notation must be non-empty text",
+    ),
+    "schedule: reserved notation": (
+        "med.schedule.json", lambda d: d["categories"][0]["concepts"][0].update(notation="9 C"),
+        "category P/child: notation '9 C' contains reserved ' '",
+    ),
+    "schedule: duplicate succession entry": (
+        "med.schedule.json", lambda d: d["succession"].append("ByTime"),
+        "schedule: duplicate characteristic in succession",
+    ),
+    "schedule: duplicate category code": (
+        "med.schedule.json", lambda d: d["categories"][1].update(code="P"),
+        "category P: duplicate category code",
+    ),
+    # The right number of keys, one of them misspelled: the bulk read of
+    # ``Fields.columns`` misses a key and reads the objects one at a time.
+    "entity graph: misspelled key": (
+        "eg.json", lambda d: d["entities"][0].update(tipe=d["entities"][0].pop("type")),
+        "entity graph: entity: unknown keys ['tipe']",
+    ),
+    "entity graph: IRI not minted as <base>/eg/<timestamp>": (
+        "eg.json", lambda d: d["metadata"].update(iri="https://ex.org/du/graph/2024"),
+        "entity graph: metadata: EG IRI 'https://ex.org/du/graph/2024'"
+        " was not minted as <base>/eg/<timestamp>",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", LOADER_FAULTS)
+def test_each_loader_fault_is_named(documents, fault, capsys):
+    root, table = documents
+    name, mutate, message = LOADER_FAULTS[fault]
+    text, loader, args = table[name]
+    document = json.loads(text)
+    mutate(document)
+    data = json.dumps(document).encode()
+    with pytest.raises(FormatError) as caught:
+        loader(data)
+    assert str(caught.value) == message
+    (root / f"mutated-{name}").write_bytes(data)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 FUZZED = [
     "med.schedule.json", "ccc.catalogue.json", "toy.lexsem.json", "du.schema.json",
     "du.etg.json", "du.mapping.json", "books.csv", "people.csv", "orgs.csv", "places.csv",
