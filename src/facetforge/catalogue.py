@@ -334,11 +334,8 @@ def _lint_sought_headings(
     code: CatalogueCode, records: Sequence[CatalogueRecord], findings: list[Finding]
 ) -> None:
     for record in records:
-        sought_values = {
-            value
-            for key, value in record.fields
-            if any(s.key == key and s.sought for s in code.specs(record.resource_type))
-        }
+        sought_keys = {spec.key for spec in code.specs(record.resource_type) if spec.sought}
+        sought_values = {value for key, value in record.fields if key in sought_keys}
         class_part = record.call_number.class_part
         for index, heading in enumerate(record.headings):
             from_chain = bool(heading.reference) and class_part.startswith(heading.reference)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -86,53 +87,18 @@ def _load_eg(path: str) -> eg_mod.EntityGraph:
 # Query text parsing (CLI syntax)
 
 
-def _iri_end(text: str, start: int) -> int:
-    """Index just past the ``>`` closing the IRI that opens at *start*."""
-    end = text.find(">", start)
-    if end < 0:
-        raise _UsageError("query: unterminated IRI")
-    return end + 1
-
-
-def _tokenize_query(text: str) -> list[str]:
-    tokens: list[str] = []
-    position = 0
-    while position < len(text):
-        char = text[position]
-        if char.isspace():
-            position += 1
-        elif char == "<":
-            end = _iri_end(text, position)
-            tokens.append(text[position:end])
-            position = end
-        elif char == '"':
-            _, end = _read_literal(text, position)
-            if text.startswith("^^", end):
-                end += 2
-                if end < len(text) and text[end] == "<":
-                    end = _iri_end(text, end)
-                else:
-                    while end < len(text) and not text[end].isspace():
-                        end += 1
-            tokens.append(text[position:end])
-            position = end
-        elif char == ".":
-            tokens.append(".")
-            position += 1
-        else:
-            end = position
-            while end < len(text) and not text[end].isspace():
-                end += 1
-            tokens.append(text[position:end])
-            position = end
-    return tokens
-
-
-def _read_literal(text: str, start: int) -> tuple[str, int]:
-    try:
-        return exports.read_literal(text, start)
-    except FormatError as exc:
-        raise _UsageError(f"query: {exc}") from None
+# One token of query text per match, in one of six groups, each of which
+# is non-empty when it matches.  Every character but white space starts a
+# token, so ``findall`` passes over just the white space between tokens.
+# A "<" or '"' that opens no whole token matches alone as ``open``; so
+# does a "<" after "^^" that is never closed, as the datatype is then "^^".
+_QUERY_TOKEN = re.compile(
+    r'(?P<word>[^\s<".]\S*)|(?P<name><[^>]*>)|(?P<dot>\.)'
+    r'|(?P<literal>"[^"\\]*(?:\\.[^"\\]*)*")(?P<datatype>\^\^(?:<[^>]*>|[^<\s]\S*|))?'
+    r'|(?P<open>[<"])',
+    re.DOTALL,
+)
+_UNTERMINATED = {"<": "query: unterminated IRI", '"': "query: unterminated literal"}
 
 
 def _name_term(name: str, eg: eg_mod.EntityGraph) -> Iri:
@@ -147,38 +113,46 @@ def _name_term(name: str, eg: eg_mod.EntityGraph) -> Iri:
     return matches[0]
 
 
-def _parse_literal_token(token: str) -> eg_mod.Literal:
-    text, end = _read_literal(token, 0)
-    if end == len(token):
-        return eg_mod.Literal(text, "string")
-    datatype = token[end + 2:]  # the tokenizer put "^^" after the closing quote
-    if datatype.startswith("<"):
-        resolved = exports.XSD_NAMES.get(datatype[1:-1])
-        if resolved is None:
-            raise _UsageError(f"query: unsupported literal datatype {datatype}")
-        return eg_mod.Literal(text, resolved)
-    return eg_mod.Literal(text, datatype)
-
-
 def parse_query_text(text: str, eg: eg_mod.EntityGraph) -> query_mod.Query:
-    """Parse ``?var <name> "literal" .`` pattern text against a graph."""
-    tokens = _tokenize_query(text)
+    """Parse ``?var <name> "literal" .`` pattern text against a graph.
+
+    Malformed text (an unterminated IRI or literal, a bad escape) is
+    reported, in text order, before any name, variable, datatype or
+    pattern error: the first pass reads every token, the second builds."""
+    tokens = []
+    for word, name, dot, literal, datatype, opened in _QUERY_TOKEN.findall(text):
+        if opened:
+            raise _UsageError(_UNTERMINATED[opened])
+        if literal:
+            try:
+                literal = exports.unescape(literal[1:-1])
+            except FormatError as exc:
+                raise _UsageError(f"query: {exc}") from None
+        tokens.append((word, name, dot, literal, datatype[2:] if datatype else None))
+
     patterns: list = []
     current: list = []
-    for token in tokens:
-        if token == ".":
+    for word, name, dot, literal, datatype in tokens:
+        if dot:
             if len(current) != 3:
                 raise _UsageError(f"query: pattern has {len(current)} terms, expected 3")
             patterns.append(tuple(current))
             current = []
-        elif token.startswith("?"):
-            current.append(query_mod.Variable(token))
-        elif token.startswith("<"):
-            current.append(_name_term(token[1:-1], eg))
-        elif token.startswith('"'):
-            current.append(_parse_literal_token(token))
+        elif name:
+            current.append(_name_term(name[1:-1], eg))
+        elif word:
+            if not word.startswith("?"):
+                raise _UsageError(f"query: unrecognized token {word!r}")
+            current.append(query_mod.Variable(word))
+        elif datatype is None:
+            current.append(eg_mod.Literal(literal, "string"))
+        elif datatype.startswith("<"):
+            resolved = exports.XSD_NAMES.get(datatype[1:-1])
+            if resolved is None:
+                raise _UsageError(f"query: unsupported literal datatype {datatype}")
+            current.append(eg_mod.Literal(literal, resolved))
         else:
-            raise _UsageError(f"query: unrecognized token {token!r}")
+            current.append(eg_mod.Literal(literal, datatype))
     if current:
         raise _UsageError("query: pattern not terminated with '.'")
     return query_mod.Query(tuple(patterns))

@@ -38,7 +38,7 @@ from .core import (
     sort_findings,
     timestamp_identifier,
 )
-from .etg import SchemaGraph
+from .etg import DATA_DATATYPES, SchemaGraph
 
 __all__ = [
     "DanglingLinkError",
@@ -550,6 +550,12 @@ class _Columns:
 
 def _read_columns(entry: DatasetMapping, table: Sequence[Mapping[str, str]]) -> _Columns:
     """Type *table* per *entry*, one column at a time (see ``ingest_dataset``)."""
+    for data_map in entry.data_maps:
+        if data_map.datatype not in DATA_DATATYPES:
+            raise ValueError(
+                f"dataset {entry.id}: property {data_map.property!r} has"
+                f" datatype {data_map.datatype!r}, not one of {DATA_DATATYPES}"
+            )
     if table and entry.id_column not in table[0]:
         raise ValueError(f"dataset {entry.id}: id column {entry.id_column!r} missing")
     ids = [row.get(entry.id_column) or "" for row in table]
@@ -611,8 +617,9 @@ def _read_columns(entry: DatasetMapping, table: Sequence[Mapping[str, str]]) -> 
 def ingest_dataset(
     entry: DatasetMapping, table: Sequence[Mapping[str, str]]
 ) -> tuple[list[TypedRow], list[Finding]]:
-    """Type one raw table per its dataset mapping, whose data maps carry
-    the datatypes an ETG declares (as a checked spec's do).
+    """Type one raw table per its dataset mapping, whose data maps must
+    carry the datatypes an ETG declares (as a checked spec's do): another
+    datatype raises ``ValueError`` before any cell is read.
 
     Cast failures drop the cell with an IG1 warning; duplicate row ids keep
     the first row and yield an IG2 error finding.  An empty or bad row id

@@ -48,6 +48,7 @@ __all__ = [
     "read_literal",
     "render_ntriples",
     "render_term",
+    "unescape",
 ]
 
 XSD = {
@@ -110,19 +111,21 @@ def export_ntriples(eg: EntityGraph) -> bytes:
 
 
 def read_literal(text: str, start: int) -> tuple[str, int]:
-    """The decoded text of the quoted literal opening at *start*, and the
-    index just past its closing quote.
+    """The decoded text (see :func:`unescape`) of the quoted literal
+    opening at *start*, and the index just past its closing quote."""
+    match = _QUOTED.match(text, start)
+    if match is None:
+        raise FormatError("unterminated literal")
+    return unescape(match.group(1)), match.end()
+
+
+def unescape(body: str) -> str:
+    """The text of the literal quoted as ``"body"``.
 
     A backslash escapes the character after it, so escapes are read in
     pairs; only the escapes :func:`render_term` writes are accepted.
     """
-    match = _QUOTED.match(text, start)
-    if match is None:
-        raise FormatError("unterminated literal")
-    body = match.group(1)
-    if "\\" in body:
-        body = _ESCAPE_PAIR.sub(_unescape, body)
-    return body, match.end()
+    return _ESCAPE_PAIR.sub(_unescape, body) if "\\" in body else body
 
 
 def _unescape(match: re.Match) -> str:
@@ -163,9 +166,7 @@ def parse_ntriples(data: bytes | str) -> tuple[Triple, ...]:
             if object_iri is not None:
                 obj = iris[object_iri]
             else:
-                if "\\" in body:
-                    body = _ESCAPE_PAIR.sub(_unescape, body)
-                obj = Literal(body, _datatype(datatype_iri))
+                obj = Literal(unescape(body), _datatype(datatype_iri))
         except (ValueError, IndexError) as exc:
             raise FormatError(f"line {line_number}: {exc}") from None
         triples.append(Triple(subject, predicate, obj))

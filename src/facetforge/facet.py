@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 _SLOT_RE = re.compile(r"(?P<indicator>[,;:.'])\[(?P<code>[A-Za-z])(?P<optional>\?)?\]")
+# One facet of a class number: its indicator (one of INDICATORS), then its
+# notation, which runs up to the next indicator.
+_FACET_RE = re.compile(r"([,;:.'])([^,;:.']*)")
 
 
 @dataclass(frozen=True)
@@ -135,30 +138,22 @@ def parse_class_number(
     if not text.startswith(base):
         raise ValueError(f"class number {text!r}: base does not match {base!r}")
     remaining = text[len(base):]
+    if remaining and remaining[0] not in INDICATORS:
+        raise ValueError(f"class number {text!r}: trailing garbage {remaining!r}")
     pending = list(formula.slots)
-    all_indicators = set(INDICATORS)
     facets: list[tuple[str, tuple[str, ...]]] = []
-
-    while remaining:
-        char = remaining[0]
+    for indicator, notation in _FACET_RE.findall(remaining):
         slot_index = next(
             (i for i, slot in enumerate(pending)
-             if schedule.category(slot.code).indicator == char),
+             if schedule.category(slot.code).indicator == indicator),
             None,
         )
         if slot_index is None:
-            if char in all_indicators:
-                raise ValueError(f"class number {text!r}: unexpected indicator {char!r}")
-            raise ValueError(f"class number {text!r}: trailing garbage {remaining!r}")
+            raise ValueError(f"class number {text!r}: unexpected indicator {indicator!r}")
         slot = pending[slot_index]
         del pending[: slot_index + 1]
-
-        end = 1
-        while end < len(remaining) and remaining[end] not in all_indicators:
-            end += 1
-        notation = remaining[1:end]
         if not notation:
-            raise ValueError(f"class number {text!r}: empty facet after {char!r}")
+            raise ValueError(f"class number {text!r}: empty facet after {indicator!r}")
         try:
             path = resolve_notation(schedule, notation, slot.code)
         except ValueError:
@@ -166,7 +161,6 @@ def parse_class_number(
                 f"class number {text!r}: unresolvable {slot.code} notation {notation!r}"
             ) from None
         facets.append((slot.code, tuple(c.id for c in path)))
-        remaining = remaining[end:]
 
     return ClassNumber(schedule.id, base, tuple(facets))
 

@@ -8,6 +8,7 @@ conservative formalization so that findings are stable test targets.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Sequence
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 INDICATORS = (",", ";", ":", ".", "'")
+_RESERVED = re.compile(r"[\s,;:.']")  # whitespace and the INDICATORS
 
 
 @dataclass(frozen=True)
@@ -223,9 +225,9 @@ _CONCEPT = Fields(
 def _check_notation(notation: str, where: str) -> None:
     if not notation:
         raise FormatError(f"{where}: notation must be non-empty text")
-    for char in notation:
-        if char.isspace() or char in INDICATORS:
-            raise FormatError(f"{where}: notation {notation!r} contains reserved {char!r}")
+    reserved = _RESERVED.search(notation)
+    if reserved:
+        raise FormatError(f"{where}: notation {notation!r} contains reserved {reserved[0]!r}")
 
 
 def load_schedule(document: str | bytes) -> ClassificationSchedule:

@@ -12,6 +12,7 @@ from datetime import date, datetime, timezone
 
 from facetforge.core import (
     Finding,
+    FormatError,
     Iri,
     Label,
     check_identifier,
@@ -37,13 +38,21 @@ from facetforge.eg import (
     type_iri,
     type_predicate,
 )
+from facetforge import exports
+from facetforge.cli import _name_term, _UsageError
 from facetforge.etg import DataProperty, EntityType, EntityTypeGraph, ObjectProperty
-from facetforge.facet import FacetFormula, FormulaSlot
+from facetforge.facet import ClassNumber, FacetFormula, FormulaSlot
 from facetforge.exports import XSD, render_term
 from facetforge.lexsem import LexicalSemanticResource, Synset
 from facetforge.ontology import LightweightOntology, OntologyNode
 from facetforge.query import BindingTable, Pattern, Query, Term, Variable
-from facetforge.schedule import ClassificationSchedule, Concept, FacetCategory
+from facetforge.schedule import (
+    INDICATORS,
+    ClassificationSchedule,
+    Concept,
+    FacetCategory,
+    resolve_notation,
+)
 
 BASE = Iri("https://ex.org/du")
 AT = parse_timestamp("2024-01-01T00:00:00Z")
@@ -1371,3 +1380,140 @@ def random_faulty_tables(rng: random.Random, spec: MappingSpec, bad_ids: bool) -
             rows.append(row)
         tables[entry.id] = rows
     return tables
+
+
+# ---------------------------------------------------------------------------
+# Reference readers of the two typed notations: query text and class
+# numbers, one character at a time.  The library reads each with one
+# regular expression per token; these must give the same result, or the
+# same exception type and message, for every input.
+
+
+def _oracle_iri_end(text: str, start: int) -> int:
+    """Index just past the ``>`` closing the IRI that opens at *start*."""
+    end = text.find(">", start)
+    if end < 0:
+        raise _UsageError("query: unterminated IRI")
+    return end + 1
+
+
+def _oracle_tokenize_query(text: str) -> list[str]:
+    tokens: list[str] = []
+    position = 0
+    while position < len(text):
+        char = text[position]
+        if char.isspace():
+            position += 1
+        elif char == "<":
+            end = _oracle_iri_end(text, position)
+            tokens.append(text[position:end])
+            position = end
+        elif char == '"':
+            _, end = _oracle_read_literal(text, position)
+            if text.startswith("^^", end):
+                end += 2
+                if end < len(text) and text[end] == "<":
+                    end = _oracle_iri_end(text, end)
+                else:
+                    while end < len(text) and not text[end].isspace():
+                        end += 1
+            tokens.append(text[position:end])
+            position = end
+        elif char == ".":
+            tokens.append(".")
+            position += 1
+        else:
+            end = position
+            while end < len(text) and not text[end].isspace():
+                end += 1
+            tokens.append(text[position:end])
+            position = end
+    return tokens
+
+
+def _oracle_read_literal(text: str, start: int) -> tuple[str, int]:
+    try:
+        return exports.read_literal(text, start)
+    except FormatError as exc:
+        raise _UsageError(f"query: {exc}") from None
+
+
+def _oracle_parse_literal_token(token: str) -> Literal:
+    text, end = _oracle_read_literal(token, 0)
+    if end == len(token):
+        return Literal(text, "string")
+    datatype = token[end + 2:]  # the tokenizer put "^^" after the closing quote
+    if datatype.startswith("<"):
+        resolved = exports.XSD_NAMES.get(datatype[1:-1])
+        if resolved is None:
+            raise _UsageError(f"query: unsupported literal datatype {datatype}")
+        return Literal(text, resolved)
+    return Literal(text, datatype)
+
+
+def oracle_parse_query_text(text: str, eg: EntityGraph) -> Query:
+    """Parse ``?var <name> "literal" .`` pattern text against a graph."""
+    tokens = _oracle_tokenize_query(text)
+    patterns: list = []
+    current: list = []
+    for token in tokens:
+        if token == ".":
+            if len(current) != 3:
+                raise _UsageError(f"query: pattern has {len(current)} terms, expected 3")
+            patterns.append(tuple(current))
+            current = []
+        elif token.startswith("?"):
+            current.append(Variable(token))
+        elif token.startswith("<"):
+            current.append(_name_term(token[1:-1], eg))
+        elif token.startswith('"'):
+            current.append(_oracle_parse_literal_token(token))
+        else:
+            raise _UsageError(f"query: unrecognized token {token!r}")
+    if current:
+        raise _UsageError("query: pattern not terminated with '.'")
+    return Query(tuple(patterns))
+
+
+def oracle_parse_class_number(
+    schedule: ClassificationSchedule, formula: FacetFormula, text: str
+) -> ClassNumber:
+    """Parse a class-number string; inverse of synthesis on its range."""
+    base = schedule.base.notation
+    if not text.startswith(base):
+        raise ValueError(f"class number {text!r}: base does not match {base!r}")
+    remaining = text[len(base):]
+    pending = list(formula.slots)
+    all_indicators = set(INDICATORS)
+    facets: list[tuple[str, tuple[str, ...]]] = []
+
+    while remaining:
+        char = remaining[0]
+        slot_index = next(
+            (i for i, slot in enumerate(pending)
+             if schedule.category(slot.code).indicator == char),
+            None,
+        )
+        if slot_index is None:
+            if char in all_indicators:
+                raise ValueError(f"class number {text!r}: unexpected indicator {char!r}")
+            raise ValueError(f"class number {text!r}: trailing garbage {remaining!r}")
+        slot = pending[slot_index]
+        del pending[: slot_index + 1]
+
+        end = 1
+        while end < len(remaining) and remaining[end] not in all_indicators:
+            end += 1
+        notation = remaining[1:end]
+        if not notation:
+            raise ValueError(f"class number {text!r}: empty facet after {char!r}")
+        try:
+            path = resolve_notation(schedule, notation, slot.code)
+        except ValueError:
+            raise ValueError(
+                f"class number {text!r}: unresolvable {slot.code} notation {notation!r}"
+            ) from None
+        facets.append((slot.code, tuple(c.id for c in path)))
+        remaining = remaining[end:]
+
+    return ClassNumber(schedule.id, base, tuple(facets))

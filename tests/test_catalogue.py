@@ -199,6 +199,28 @@ class TestLintRecords:
         )
         assert lint_records(ccc, [doctored]) == []
 
+    def test_cc2_each_unsought_field_heading_flagged(self, ccc, med_headings):
+        """Book has two sought fields and four unsought ones: a heading from
+        a sought field's value, or from the chain, passes; one from any
+        unsought field's value is flagged."""
+        import dataclasses
+
+        record = self.build(ccc, med_headings, FULL_IMPRINT, 1)
+        extra = [SubjectHeading(FULL_IMPRINT[key], "") for key in FULL_IMPRINT]
+        extra.append(SubjectHeading(FULL_IMPRINT["publisher"], "L,9C"))
+        doctored = dataclasses.replace(record, headings=record.headings + tuple(extra))
+        findings = lint_records(ccc, [doctored])
+        first = len(record.headings)
+        assert [(f.code, f.path, f.message) for f in findings] == [
+            (
+                "CC2",
+                f"Book/rec-1/headings/{first + index}",
+                f"heading {FULL_IMPRINT[key]!r} derives from neither the chain nor a sought field",
+            )
+            for index, key in enumerate(FULL_IMPRINT)
+            if key not in ("title", "author")
+        ]
+
     def test_cc3_template_without_placeholder(self, med_headings):
         data = ccc_document(
             local_variations=[{"field": "date", "template": "published"}]

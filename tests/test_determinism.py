@@ -118,3 +118,42 @@ def test_benchmark_graph_batch_is_byte_identical_across_hash_seeds(tmp_path, gen
     assert stdout.count(b"-- exit 0\n") == len(steps)
     codes = [line.split()[1] for line in stderr.decode().splitlines() if line.startswith("warning")]
     assert {"IG1", "LK2", "LK3"} <= set(codes)
+
+
+def test_benchmark_catalogue_session_is_byte_identical_across_hash_seeds(tmp_path, gen):
+    """The schedule and catalogue half on a small seeded ``catalogue``
+    session of the benchmark: schedule lint, then classify, chain-index and
+    record build per item, then record lint over the records, whose CC1
+    findings come from sets of field keys."""
+    schedule = gen.schedule_document(gen.rng_for(36, "schedule"), 4, 3, 3)
+    surnames = [w.capitalize() for w in gen.unique_words(gen.rng_for(36, "surnames"), 3)]
+    items = gen.catalogue_batch(gen.rng_for(36, "batch"), schedule, 2, 3, 2, surnames)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "schedule.json").write_text(schedule.document)
+    (inputs / "code.json").write_text(gen.CATALOGUE_CODE)
+    number_args = ["--schedule", str(inputs / "schedule.json"), "--formula", gen.FORMULA]
+    steps = [["schedule", "lint", str(inputs / "schedule.json")]]
+    for item in items:
+        steps += [
+            ["classify", *number_args,
+             *[arg for pair in item.assignments for arg in ("--facet", "=".join(pair))]],
+            ["chain-index", *number_args, item.text],
+            ["record", "build", "--code", str(inputs / "code.json"), *number_args,
+             "--type", "Book", "--class-number", item.text,
+             *[arg for pair in item.imprint for arg in ("--field", "=".join(pair))],
+             "--surname", item.surname, "--year", str(item.year),
+             "--accession", str(item.accession), "--out", f"record-{item.accession:02}.json"],
+        ]
+    records = [f"record-{item.accession:02}.json" for item in items]
+    steps.append(["record", "lint", "--code", str(inputs / "code.json"), *records])
+    first = run_pipeline(tmp_path / "seed-2", "2", steps)
+    second = run_pipeline(tmp_path / "seed-777", "777", steps)
+    assert first == second
+    stdout, stderr, files = first
+    assert sorted(files) == sorted(records)
+    assert stdout.count(b"-- exit 0\n") == len(steps) - 1
+    assert stdout.endswith(b"-- exit 1\n")
+    assert all(f"\n{item.text}\n-- exit 0\n".encode() in stdout for item in items)
+    codes = {line.split()[1] for line in stderr.decode().splitlines()}
+    assert codes == {"CC1"}

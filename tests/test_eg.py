@@ -388,6 +388,24 @@ class TestIngest:
         with pytest.raises(ValueError, match="id column 'id' missing"):
             ingest_dataset(mapping_spec.dataset("books"), [{"title": "x"}])
 
+    @pytest.mark.parametrize(
+        "cells", [{"pages": "1.5"}, {"pages": "https://ex.org/a/b"}, {"id": ""}]
+    )
+    def test_unknown_datatype_rejected_before_any_cell(self, mapping_spec, tables, cells):
+        """A data map built in code with a datatype no ETG declares is
+        refused as such, whatever its cells hold; it is not cast as an IRI."""
+        entry = mapping_spec.dataset("books")
+        entry = replace(entry, data_maps=tuple(
+            replace(data_map, datatype="float") if data_map.column == "pages" else data_map
+            for data_map in entry.data_maps
+        ))
+        with pytest.raises(ValueError) as raised:
+            ingest_dataset(entry, [dict(tables["books"][0], **cells)])
+        assert str(raised.value) == (
+            "dataset books: property 'numberOfPages' has datatype 'float',"
+            " not one of ('string', 'integer', 'date', 'iri')"
+        )
+
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError, match="no header"):
             read_table("", "csv")
