@@ -167,7 +167,7 @@ def parse_ntriples(data: bytes | str) -> tuple[Triple, ...]:
                 obj = iris[object_iri]
             else:
                 obj = Literal(unescape(body), _datatype(datatype_iri))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise FormatError(f"line {line_number}: {exc}") from None
         triples.append(Triple(subject, predicate, obj))
     return tuple(triples)
@@ -194,23 +194,31 @@ def _read_line(line: str, iris: TermTable) -> Triple:
 
 def _separator(line: str, position: int) -> int:
     """The position after the one space or tab that must follow a term."""
-    if line[position] not in " \t":
-        found = line[position]
-        raise FormatError(f"expected a space or a tab at column {position}, found {found!r}")
+    if not line.startswith((" ", "\t"), position):
+        found = repr(line[position]) if position < len(line) else "end of line"
+        raise FormatError(f"expected a space or a tab at column {position}, found {found}")
     return position + 1
 
 
 def _read_term(text: str, position: int, iris: TermTable) -> tuple[Iri | Literal, int]:
-    if text[position] == "<":
-        end = text.index(">", position)
+    if text.startswith("<", position):
+        end = _iri_end(text, position)
         return iris[text[position + 1:end]], end + 1
-    if text[position] == '"':
+    if text.startswith('"', position):
         value, cursor = read_literal(text, position)
         if not text.startswith("^^<", cursor):
             raise FormatError("literal missing ^^<datatype>")
-        end = text.index(">", cursor + 3)
+        end = _iri_end(text, cursor + 2)
         return Literal(value, _datatype(text[cursor + 3:end])), end + 1
     raise FormatError(f"unexpected term at column {position}: {text[position:]!r}")
+
+
+def _iri_end(text: str, start: int) -> int:
+    """The position of the ``>`` that closes the IRI opening at *start*."""
+    end = text.find(">", start)
+    if end < 0:
+        raise FormatError(f"unterminated IRI at column {start}")
+    return end
 
 
 # ---------------------------------------------------------------------------

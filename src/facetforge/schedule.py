@@ -9,9 +9,10 @@ conservative formalization so that findings are stable test targets.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     Fields,
@@ -198,10 +199,6 @@ def full_notation(category: FacetCategory, concept: Concept) -> str:
     return "".join(c.notation for c in _path_to_root(category, concept))
 
 
-def concept_path(category: FacetCategory, concept: Concept) -> str:
-    return category.code + "/" + "/".join(c.id for c in _path_to_root(category, concept))
-
-
 # ---------------------------------------------------------------------------
 # Loading
 
@@ -260,7 +257,6 @@ def load_schedule(document: str | bytes) -> ClassificationSchedule:
         seen_indicators.add(indicator)
 
         concepts: list[Concept] = []
-        local_ids: set[str] = set()
         for concept_raw in concepts_raw:
             concept_id, notation, label, value, parent, sought, residual, ordinal = (
                 _CONCEPT.read(concept_raw, where)
@@ -268,7 +264,6 @@ def load_schedule(document: str | bytes) -> ClassificationSchedule:
             if concept_id in seen_ids:
                 raise FormatError(f"{where}: duplicate concept id {concept_id!r}")
             seen_ids.add(concept_id)
-            local_ids.add(concept_id)
             _check_notation(notation, f"{where}/{concept_id}")
             concepts.append(
                 Concept(
@@ -282,9 +277,7 @@ def load_schedule(document: str | bytes) -> ClassificationSchedule:
                     ordinal=ordinal,
                 )
             )
-        for concept in concepts:
-            if concept.parent is not None and concept.parent not in local_ids:
-                raise FormatError(f"{where}: dangling reference {concept.parent!r}")
+        _check_forest(code, concepts)
         try:
             category = FacetCategory(code, indicator, characteristic, tuple(concepts))
         except ValueError as exc:  # a bad code or indicator
@@ -301,14 +294,32 @@ def load_schedule(document: str | bytes) -> ClassificationSchedule:
     )
 
 
+def _check_forest(code: str, concepts: Sequence[Concept]) -> None:
+    """Refuse a category whose concepts do not form a forest.
+
+    In this order: an id stored twice, a parent that no concept of the
+    category has, and a parent cycle, each with the loader's text and the
+    first such fault in stored order.  ``load_schedule`` and
+    ``lint_schedule`` share this check.
+    """
+    by_id: dict[str, Concept] = {}
+    for concept in concepts:
+        if concept.id in by_id:
+            raise FormatError(f"category {code}: duplicate concept id {concept.id!r}")
+        by_id[concept.id] = concept
+    for concept in concepts:
+        if concept.parent is not None and concept.parent not in by_id:
+            raise FormatError(f"category {code}: dangling reference {concept.parent!r}")
+    for last, _ in parent_cycles(by_id, attrgetter("parent")):
+        raise FormatError(f"category {code}: broken parent chain at {last!r}")
+
+
 def _check_category_shape(category: FacetCategory) -> None:
-    """Reject parent cycles and ambiguous sibling segments at load time.
+    """Reject ambiguous sibling segments at load time.
 
     Sibling segments must be prefix-free: longest-match resolution is exact
     only under that restriction, and class-number parsing relies on it.
     """
-    for last, _ in parent_cycles(category._by_id, attrgetter("parent")):
-        raise FormatError(f"category {category.code}: broken parent chain at {last!r}")
     _check_siblings(category, category.roots())
     for concept in category.concepts:
         kids = category._children.get(concept.id)
@@ -354,7 +365,7 @@ class LintConfig:
         return self.enabled is None or code in self.enabled
 
 
-def _is_subsequence(needle: list[str], haystack: tuple[str, ...]) -> bool:
+def _is_subsequence(needle: Sequence[str], haystack: tuple[str, ...]) -> bool:
     position = 0
     for item in needle:
         while position < len(haystack) and haystack[position] != item:
@@ -368,31 +379,92 @@ def _is_subsequence(needle: list[str], haystack: tuple[str, ...]) -> bool:
 def lint_schedule(
     schedule: ClassificationSchedule, config: LintConfig | None = None
 ) -> list[Finding]:
-    """Apply the structural quality rules; returns canonical-ordered findings."""
+    """Apply the structural quality rules; returns canonical-ordered findings.
+
+    Each category is first checked with the loader's forest check, so a
+    category built in code with a repeated id, a dangling parent or a
+    parent cycle raises the loader's ``FormatError``.  Then one walk down
+    from the category's roots reaches each concept once, with its path, its
+    full notation and its collapsed chain of characteristics, each its
+    parent's extended by the concept's own step.  CH1, VP1, the array rules
+    and, at each leaf, IC2 run as the walk reaches a concept; NP1 and NP2
+    read the notations the walk recorded, in stored order.  No rule walks
+    back up to a root, so lint is one walk per category for any depth.
+    """
     config = config or LintConfig()
-    findings: list[Finding] = []
+    enabled = config.rule_enabled
+    stoplist = set(schedule.reticence_stoplist) if enabled("VP1") else set()
+    findings = stopword_findings(schedule.base.id, schedule.base.label.text, stoplist)
+    # NP1 looks at the ids stored more than once, counting the base.
+    counts = Counter(c.id for category in schedule.categories for c in category.concepts)
+    counts[schedule.base.id] += 1
+    shared = {cid for cid, count in counts.items() if count > 1} if enabled("NP1") else set()
+    occurrences: dict[str, list[str]] = {schedule.base.id: [schedule.base.notation]}
 
     for category in schedule.categories:
-        _lint_array(category, category.code, category.roots(), config, findings)
-        for concept in category.concepts:
+        _check_forest(category.code, category.concepts)
+        _lint_array(category.code, category.roots(), config, findings)
+        # Each concept's full notation, and each notation's first concept in
+        # stored order, for NP2; both are rebound here so that only one
+        # category's notations are held at a time.
+        notations: dict[str, str] = {}
+        first: dict[str, str] = {}
+        for concept, parent, path, notation, chain in _walk(category):
+            notations[concept.id] = notation
+            if concept.id in shared:
+                occurrences.setdefault(concept.id, []).append(f"{category.code}:{notation}")
             kids = category._children.get(concept.id)
             if kids:
-                path = concept_path(category, concept)
-                _lint_array(category, path, kids, config, findings)
-        _lint_chains(schedule, category, config, findings)
+                _lint_array(path, kids, config, findings)
+            elif enabled("IC2") and not _is_subsequence(chain, schedule.succession):
+                message = (
+                    f"chain characteristics {list(chain)} do not follow"
+                    f" succession {list(schedule.succession)}"
+                )
+                findings.append(finding("IC2", path, message))
+            if enabled("CH1"):
+                value = concept.characteristic_value
+                if value is None:
+                    findings.append(finding("CH1", path, "concept adds no characteristic value"))
+                elif parent is not None and parent.characteristic_value == value:
+                    findings.append(finding("CH1", path, "concept repeats its parent's value"))
+            if stoplist:
+                findings.extend(stopword_findings(path, concept.label.text, stoplist))
+        if enabled("NP2"):
+            for concept in category.concepts:
+                notation = notations[concept.id]
+                owner = first.setdefault(notation, concept.id)
+                if owner != concept.id:
+                    message = f"notation names both {owner!r} and {concept.id!r}"
+                    findings.append(finding("NP2", f"{category.code}/{notation}", message))
 
-    if config.rule_enabled("VP1"):
-        _lint_reticence(schedule, findings)
-    if config.rule_enabled("NP1"):
-        _lint_synonym(schedule, findings)
-    if config.rule_enabled("NP2"):
-        _lint_homonym(schedule, findings)
-
+    for concept_id, texts in occurrences.items():
+        if len(texts) > 1:
+            findings.append(finding("NP1", concept_id, f"id resolves to notations {sorted(texts)}"))
     return sort_findings(findings)
 
 
-def _lint_array(
+def _walk(
     category: FacetCategory,
+) -> Iterator[tuple[Concept, Concept | None, str, str, tuple[str, ...]]]:
+    """Each concept of a forest, parents first, with its parent, its path
+    (``code/root-id/.../id``), its full notation and the characteristic
+    names along its chain with consecutive repeats collapsed."""
+    stack = [(root, None, category.code, "", ()) for root in category.roots()]
+    while stack:
+        concept, parent, path, notation, chain = stack.pop()
+        path = f"{path}/{concept.id}"
+        notation += concept.notation
+        if concept.characteristic_value is not None:
+            name = concept.characteristic_value[0]
+            if not chain or chain[-1] != name:
+                chain += (name,)
+        yield concept, parent, path, notation, chain
+        for kid in category._children.get(concept.id, ()):
+            stack.append((kid, concept, path, notation, chain))
+
+
+def _lint_array(
     path: str,
     siblings: Sequence[Concept],
     config: LintConfig,
@@ -448,91 +520,6 @@ def _lint_array(
         ordinals = [c.ordinal for c in siblings]
         if ordinals != sorted(ordinals):
             findings.append(finding("IC5", path, f"ordinals stored as {ordinals}"))
-
-
-def _lint_chains(
-    schedule: ClassificationSchedule,
-    category: FacetCategory,
-    config: LintConfig,
-    findings: list[Finding],
-) -> None:
-    if config.rule_enabled("CH1"):
-        for concept in category.concepts:
-            path = concept_path(category, concept)
-            if concept.characteristic_value is None:
-                findings.append(
-                    finding("CH1", path, "concept adds no characteristic value")
-                )
-            elif concept.parent is not None:
-                parent = category._by_id[concept.parent]
-                if parent.characteristic_value == concept.characteristic_value:
-                    findings.append(
-                        finding("CH1", path, "concept repeats its parent's value")
-                    )
-
-    if config.rule_enabled("IC2"):
-        leaves = [c for c in category.concepts if c.id not in category._children]
-        for leaf in leaves:
-            chain = _path_to_root(category, leaf)
-            names = [c.characteristic_value[0] for c in chain if c.characteristic_value]
-            collapsed = [name for i, name in enumerate(names) if i == 0 or names[i - 1] != name]
-            if not _is_subsequence(collapsed, schedule.succession):
-                findings.append(
-                    finding(
-                        "IC2",
-                        concept_path(category, leaf),
-                        f"chain characteristics {collapsed} do not follow"
-                        f" succession {list(schedule.succession)}",
-                    )
-                )
-
-
-def _lint_reticence(schedule: ClassificationSchedule, findings: list[Finding]) -> None:
-    stoplist = set(schedule.reticence_stoplist)
-    if not stoplist:
-        return
-
-    findings.extend(stopword_findings(schedule.base.id, schedule.base.label.text, stoplist))
-    for category in schedule.categories:
-        for concept in category.concepts:
-            path = concept_path(category, concept)
-            findings.extend(stopword_findings(path, concept.label.text, stoplist))
-
-
-def _lint_synonym(schedule: ClassificationSchedule, findings: list[Finding]) -> None:
-    occurrences: dict[str, list[str]] = {}
-    occurrences.setdefault(schedule.base.id, []).append(schedule.base.notation)
-    for category in schedule.categories:
-        for concept in category.concepts:
-            occurrences.setdefault(concept.id, []).append(
-                category.code + ":" + full_notation(category, concept)
-            )
-    for concept_id, notations in occurrences.items():
-        if len(notations) > 1:
-            findings.append(
-                finding(
-                    "NP1",
-                    concept_id,
-                    f"id resolves to notations {sorted(notations)}",
-                )
-            )
-
-
-def _lint_homonym(schedule: ClassificationSchedule, findings: list[Finding]) -> None:
-    for category in schedule.categories:
-        seen: dict[str, str] = {}
-        for concept in category.concepts:
-            notation = full_notation(category, concept)
-            if notation in seen:
-                findings.append(
-                    finding(
-                        "NP2",
-                        f"{category.code}/{notation}",
-                        f"notation names both {seen[notation]!r} and {concept.id!r}",
-                    )
-                )
-            else:
-                seen[notation] = concept.id
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 import re
+from collections.abc import Sequence
 from datetime import date, datetime, timezone
 
 from facetforge.core import (
@@ -21,6 +22,7 @@ from facetforge.core import (
     mint_iri,
     parse_timestamp,
     sort_findings,
+    stopword_findings,
     timestamp_identifier,
 )
 from facetforge.eg import (
@@ -51,6 +53,7 @@ from facetforge.schedule import (
     ClassificationSchedule,
     Concept,
     FacetCategory,
+    LintConfig,
     resolve_notation,
 )
 
@@ -1517,3 +1520,284 @@ def oracle_parse_class_number(
         remaining = remaining[end:]
 
     return ClassNumber(schedule.id, base, tuple(facets))
+
+
+# ---------------------------------------------------------------------------
+# ``lint_schedule`` as it walked up to the root once per rule: each concept's
+# path for CH1 and VP1, its full notation for NP1 and NP2, and each leaf's
+# chain for IC2
+
+
+def _oracle_path_to_root(category: FacetCategory, concept: Concept) -> list[Concept]:
+    """Concepts from the array root down to *concept* (inclusive)."""
+    path = [concept]
+    seen = {concept.id}
+    while path[-1].parent is not None:
+        parent = category._by_id.get(path[-1].parent)
+        if parent is None or parent.id in seen:
+            raise ValueError(
+                f"category {category.code}: broken parent chain at {path[-1].id!r}"
+            )
+        seen.add(parent.id)
+        path.append(parent)
+    path.reverse()
+    return path
+
+
+def _oracle_full_notation(category: FacetCategory, concept: Concept) -> str:
+    """Concatenated notation segments from the array root to *concept*."""
+    return "".join(c.notation for c in _oracle_path_to_root(category, concept))
+
+
+def _oracle_concept_path(category: FacetCategory, concept: Concept) -> str:
+    return category.code + "/" + "/".join(c.id for c in _oracle_path_to_root(category, concept))
+
+
+def _oracle_is_subsequence(needle: list[str], haystack: tuple[str, ...]) -> bool:
+    position = 0
+    for item in needle:
+        while position < len(haystack) and haystack[position] != item:
+            position += 1
+        if position == len(haystack):
+            return False
+        position += 1
+    return True
+
+
+def oracle_lint_schedule(
+    schedule: ClassificationSchedule, config: LintConfig | None = None
+) -> list[Finding]:
+    """Apply the structural quality rules; returns canonical-ordered findings."""
+    config = config or LintConfig()
+    findings: list[Finding] = []
+
+    for category in schedule.categories:
+        _oracle_lint_array(category, category.code, category.roots(), config, findings)
+        for concept in category.concepts:
+            kids = category._children.get(concept.id)
+            if kids:
+                path = _oracle_concept_path(category, concept)
+                _oracle_lint_array(category, path, kids, config, findings)
+        _oracle_lint_chains(schedule, category, config, findings)
+
+    if config.rule_enabled("VP1"):
+        _oracle_lint_reticence(schedule, findings)
+    if config.rule_enabled("NP1"):
+        _oracle_lint_synonym(schedule, findings)
+    if config.rule_enabled("NP2"):
+        _oracle_lint_homonym(schedule, findings)
+
+    return sort_findings(findings)
+
+
+def _oracle_lint_array(
+    category: FacetCategory,
+    path: str,
+    siblings: Sequence[Concept],
+    config: LintConfig,
+    findings: list[Finding],
+) -> None:
+    if not siblings:
+        return
+
+    if config.rule_enabled("IC1"):
+        names = {c.characteristic_value[0] for c in siblings if c.characteristic_value}
+        if len(names) > 1:
+            findings.append(
+                finding("IC1", path, f"array mixes characteristics {sorted(names)}")
+            )
+
+    if config.rule_enabled("IC3"):
+        exhaustive = config.exhaustive_arrays is None or path in config.exhaustive_arrays
+        if not exhaustive and not any(c.residual for c in siblings):
+            findings.append(
+                finding("IC3", path, "array not exhaustive and has no residual child")
+            )
+
+    if config.rule_enabled("IC4"):
+        seen_values: dict[str, str] = {}
+        seen_labels: dict[str, str] = {}
+        for concept in siblings:
+            if concept.characteristic_value:
+                value = concept.characteristic_value[1]
+                if value in seen_values:
+                    findings.append(
+                        finding(
+                            "IC4",
+                            path,
+                            f"value {value!r} shared by {seen_values[value]!r} and {concept.id!r}",
+                        )
+                    )
+                else:
+                    seen_values[value] = concept.id
+            label_key = concept.label.text.strip().lower()
+            if label_key in seen_labels:
+                findings.append(
+                    finding(
+                        "IC4",
+                        path,
+                        f"label {concept.label.text!r} shared by"
+                        f" {seen_labels[label_key]!r} and {concept.id!r}",
+                    )
+                )
+            else:
+                seen_labels[label_key] = concept.id
+
+    if config.rule_enabled("IC5"):
+        ordinals = [c.ordinal for c in siblings]
+        if ordinals != sorted(ordinals):
+            findings.append(finding("IC5", path, f"ordinals stored as {ordinals}"))
+
+
+def _oracle_lint_chains(
+    schedule: ClassificationSchedule,
+    category: FacetCategory,
+    config: LintConfig,
+    findings: list[Finding],
+) -> None:
+    if config.rule_enabled("CH1"):
+        for concept in category.concepts:
+            path = _oracle_concept_path(category, concept)
+            if concept.characteristic_value is None:
+                findings.append(
+                    finding("CH1", path, "concept adds no characteristic value")
+                )
+            elif concept.parent is not None:
+                parent = category._by_id[concept.parent]
+                if parent.characteristic_value == concept.characteristic_value:
+                    findings.append(
+                        finding("CH1", path, "concept repeats its parent's value")
+                    )
+
+    if config.rule_enabled("IC2"):
+        leaves = [c for c in category.concepts if c.id not in category._children]
+        for leaf in leaves:
+            chain = _oracle_path_to_root(category, leaf)
+            names = [c.characteristic_value[0] for c in chain if c.characteristic_value]
+            collapsed = [name for i, name in enumerate(names) if i == 0 or names[i - 1] != name]
+            if not _oracle_is_subsequence(collapsed, schedule.succession):
+                findings.append(
+                    finding(
+                        "IC2",
+                        _oracle_concept_path(category, leaf),
+                        f"chain characteristics {collapsed} do not follow"
+                        f" succession {list(schedule.succession)}",
+                    )
+                )
+
+
+def _oracle_lint_reticence(schedule: ClassificationSchedule, findings: list[Finding]) -> None:
+    stoplist = set(schedule.reticence_stoplist)
+    if not stoplist:
+        return
+
+    findings.extend(stopword_findings(schedule.base.id, schedule.base.label.text, stoplist))
+    for category in schedule.categories:
+        for concept in category.concepts:
+            path = _oracle_concept_path(category, concept)
+            findings.extend(stopword_findings(path, concept.label.text, stoplist))
+
+
+def _oracle_lint_synonym(schedule: ClassificationSchedule, findings: list[Finding]) -> None:
+    occurrences: dict[str, list[str]] = {}
+    occurrences.setdefault(schedule.base.id, []).append(schedule.base.notation)
+    for category in schedule.categories:
+        for concept in category.concepts:
+            occurrences.setdefault(concept.id, []).append(
+                category.code + ":" + _oracle_full_notation(category, concept)
+            )
+    for concept_id, notations in occurrences.items():
+        if len(notations) > 1:
+            findings.append(
+                finding(
+                    "NP1",
+                    concept_id,
+                    f"id resolves to notations {sorted(notations)}",
+                )
+            )
+
+
+def _oracle_lint_homonym(schedule: ClassificationSchedule, findings: list[Finding]) -> None:
+    for category in schedule.categories:
+        seen: dict[str, str] = {}
+        for concept in category.concepts:
+            notation = _oracle_full_notation(category, concept)
+            if notation in seen:
+                findings.append(
+                    finding(
+                        "NP2",
+                        f"{category.code}/{notation}",
+                        f"notation names both {seen[notation]!r} and {concept.id!r}",
+                    )
+                )
+            else:
+                seen[notation] = concept.id
+
+
+LINT_CODES = ("IC1", "IC2", "IC3", "IC4", "IC5", "CH1", "VP1", "NP1", "NP2")
+
+
+def random_lint_forest(rng: random.Random) -> tuple[ClassificationSchedule, LintConfig]:
+    """A directly built schedule whose categories are forests, and a config.
+
+    Ids are distinct within a category but may repeat across categories and
+    the base; sibling segments may repeat or be prefixes of each other;
+    labels may repeat or hold a stopword; a concept may have no value or
+    repeat its parent's; characteristics may lie outside the succession;
+    and the stored order is shuffled, ordinals included.
+    """
+    names = ["c0", "c1", "c2", "c3", "outside"]
+    succession = tuple(rng.sample(names[:4], rng.randint(1, 4)))
+    pool = ["base", "shared", "twin"]
+    categories = []
+    arrays = []  # every array's path: the category code, then each concept's path
+    for index, code in enumerate(rng.sample("ABCDEF", rng.randint(1, 3))):
+        own = rng.choice(names)
+        arrays.append(code)
+        paths = {None: code}
+        placed: list[str] = []
+        concepts = []
+        for serial in range(rng.randint(0, 14)):
+            free = [cid for cid in pool if cid not in placed]
+            cid = rng.choice(free) if free and rng.random() < 0.15 else f"{code.lower()}{serial}"
+            recent = placed[-3:]
+            parent = rng.choice(recent) if recent and rng.random() < 0.7 else None
+            placed.append(cid)
+            paths[cid] = f"{paths[parent]}/{cid}"
+            arrays.append(paths[cid])
+            draw = rng.random()
+            if draw < 0.06:
+                value = None
+            elif draw < 0.12 and parent is not None:
+                value = next(c for c in concepts if c.id == parent).characteristic_value
+            else:
+                name = own if rng.random() < 0.8 else rng.choice(names)
+                value = (name, f"v{rng.randint(0, 9)}")
+            word = rng.choice(["Alpha", "Beta", "Gamma", "General", "Misc", "Delta"])
+            concepts.append(
+                Concept(
+                    id=cid,
+                    notation=rng.choice(["1", "2", "3", "12", "A", "1A", "B", "AB"]),
+                    label=Label(f"{word} {rng.randint(0, 6)}"),
+                    characteristic_value=value,
+                    parent=parent,
+                    residual=rng.random() < 0.1,
+                    ordinal=rng.randint(0, 3),
+                )
+            )
+        rng.shuffle(concepts)
+        categories.append(FacetCategory(code, _INDICATORS[index], own, tuple(concepts)))
+    schedule = ClassificationSchedule(
+        id="FOREST",
+        base=Concept(id="base", notation="L", label=Label(rng.choice(["Base", "General base"]))),
+        succession=succession,
+        categories=tuple(categories),
+        reticence_stoplist=tuple(rng.sample(["general", "misc", "delta"], rng.randint(0, 2))),
+    )
+    enabled = None if rng.random() < 0.5 else frozenset(
+        code for code in LINT_CODES if rng.random() < 0.7
+    )
+    exhaustive = None if rng.random() < 0.3 else frozenset(
+        path for path in arrays if rng.random() < 0.5
+    )
+    return schedule, LintConfig(enabled=enabled, exhaustive_arrays=exhaustive)

@@ -93,8 +93,11 @@ MALFORMED_LINES = {
         "invalid IRI (expected scheme://authority/path, no spaces): 'no iri'",
     f'{A} <bad p> "a\\qb"^^{STRING} .':
         "invalid IRI (expected scheme://authority/path, no spaces): 'bad p'",
-    "<https://ex.org/du/a": "substring not found",
-    A: "string index out of range",
+    "<https://ex.org/du/a": "unterminated IRI at column 0",
+    f"{A} {P} <https://ex.org/du/b .": "unterminated IRI at column 49",
+    f'{A} {P} "x"^^<http://www.w3.org/2001/XMLSchema#string .': "unterminated IRI at column 54",
+    A: "expected a space or a tab at column 21, found end of line",
+    f"{A} {P}": "expected a space or a tab at column 48, found end of line",
 }
 
 
