@@ -175,10 +175,11 @@ def make_call_number(
     letters = "".join(ch for ch in author_surname if ch in _ASCII_LETTERS)[:3].upper()
     if not letters:
         raise ValueError(f"surname {author_surname!r} contains no letters")
+    if type(year) is not int:
+        raise ValueError(f"year must be an integer, got {year!r}")
     if not 1000 <= year <= 9999:
         raise ValueError(f"year must have four digits, got {year}")
-    if accession < 1:
-        raise ValueError(f"accession number must be positive, got {accession}")
+    _check_accession(accession)
 
     taken = set(existing)
     candidate = CallNumber(class_number, f"{letters}{year % 100:02d}")
@@ -190,6 +191,15 @@ def make_call_number(
             f"call number {candidate.book_part!r} already registered; duplicate accession?"
         )
     return candidate
+
+
+def _check_accession(accession: int) -> None:
+    """Refuse what a record's JSON form could not give back: an accession
+    number must be a positive ``int``, and not a ``bool`` or a ``float``."""
+    if type(accession) is not int:
+        raise ValueError(f"accession number must be an integer, got {accession!r}")
+    if accession < 1:
+        raise ValueError(f"accession number must be positive, got {accession}")
 
 
 def build_record(
@@ -210,8 +220,10 @@ def build_record(
     missing = [s.key for s in specs if s.required and s.key not in imprint]
     if missing:
         raise ValueError(f"missing required fields: {', '.join(missing)}")
-    if accession < 1:
-        raise ValueError(f"accession number must be positive, got {accession}")
+    for key, value in imprint.items():
+        if type(value) is not str:
+            raise ValueError(f"field {key!r}: value must be a string, got {value!r}")
+    _check_accession(accession)
 
     templates: dict[str, list[str]] = {}
     for variation in code.local_variations:

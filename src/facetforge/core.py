@@ -10,8 +10,9 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from itertools import compress, count, repeat
-from operator import itemgetter, not_
+from operator import is_not, itemgetter, not_
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "finding",
     "format_timestamp",
     "has_errors",
+    "holds_stopword",
     "mint_iri",
     "misfits",
     "parent_cycles",
@@ -184,18 +186,37 @@ class TermTable(dict):
         return value
 
 
-@dataclass(frozen=True)
-class Label:
-    """Human-readable text with a BCP-47-style language tag."""
-
+class _LabelFields(NamedTuple):
     text: str
     language: str = "en"
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.text, str) or not self.text.strip():
+
+class Label(_LabelFields):
+    """Human-readable text with a BCP-47-style language tag.
+
+    A validated named tuple like ``Iri``: it equals, and hashes like, the
+    plain ``(text, language)`` tuple, and every way of making one (call,
+    keywords, ``_make``, ``_replace``, copy, pickle) runs the check.  So
+    ``load_schedule`` can check a category's label texts a column at a time
+    and make its labels in bulk with ``tuple.__new__``; a category with any
+    fault is read again concept by concept, so the first bad one raises.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, text: str, language: str = "en") -> Label:
+        if not isinstance(text, str) or not text.strip():
             raise ValueError("label text is empty")
-        if not _LANGUAGE_RE.match(self.language):
-            raise ValueError(f"invalid language tag: {self.language!r}")
+        if not _LANGUAGE_RE.match(language):
+            raise ValueError(f"invalid language tag: {language!r}")
+        return tuple.__new__(cls, (text, language))
+
+    @classmethod
+    def _make(cls, iterable) -> Label:
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
 
 
 @dataclass(frozen=True)
@@ -345,6 +366,16 @@ _KINDS: dict[str, tuple[str, type, Callable[[Any], object] | None]] = {
     "object": ("an object", dict, None),
 }
 _MISSING = object()
+_IDENTIFIER_MISFITS = misfits(_IDENTIFIER)
+# How ``Fields.columns`` tests a whole column of a kind with a further test
+# (a default passes its kind's test; ``null`` cells are left out first).
+_COLUMN_TESTS: dict[str, Callable[[list], bool]] = {
+    kind: lambda column, test=test: all(map(test, column))
+    for kind, (_, _, test) in _KINDS.items()
+    if test is not None
+}
+_COLUMN_TESTS["identifier"] = lambda column: not _IDENTIFIER_MISFITS(column)
+_not_none = partial(is_not, None)
 
 
 def check(value: object, kind: str, what: str) -> None:
@@ -369,7 +400,13 @@ class Fields:
             (key, *_KINDS[kind], rest[0] if rest else _MISSING) for key, kind, *rest in fields
         )
         self._keys = frozenset(field[0] for field in self._fields)
-        self._getters = [itemgetter(field[0]) for field in self._fields]
+        # Per key, for ``columns``: its default, the types its cells may have
+        # (an absent key's cell holds the default) and its column test.
+        self._columns = [
+            (key, default, {json_type} if default is _MISSING else {json_type, type(default)},
+             _COLUMN_TESTS.get(kind))
+            for (key, kind, *_), (_, _, json_type, _, default) in zip(fields, self._fields)
+        ]
 
     def read(self, raw: object, where: str) -> list:
         """The values of *raw* in table order, defaults filled in.
@@ -401,26 +438,47 @@ class Fields:
 
     def columns(self, raws: list, where: str) -> list[list]:
         """The values of the objects of *raws*, one list per key of the
-        table, in table order.
+        table, in table order, defaults filled in.
 
-        Meant for long lists of objects that hold every key of the table:
-        then a few passes in C check the whole list (the objects' types and
-        sizes, and each column's value types).  Anything else is read object
-        by object with :meth:`read`, so the first bad object raises the
-        message ``read`` gives for it.
+        Meant for long lists of objects: a few passes in C per key check the
+        whole list (the objects' types, each column's value types and test)
+        and one total count finds keys outside the table, since the objects'
+        sizes sum to the objects times the keys, less the optional keys
+        absent, exactly when there are none.  If any check fails, the objects
+        are read one at a time with :meth:`read`, so the first bad object
+        raises the message ``read`` gives for it.
         """
-        if {*map(type, raws)} <= {dict} and {*map(len, raws)} <= {len(self._fields)}:
-            try:
-                columns = [[*map(get, raws)] for get in self._getters]
-            except KeyError:
-                pass
-            else:
-                if all(
-                    {*map(type, column)} <= {json_type} and (test is None or all(map(test, column)))
-                    for column, (_, _, json_type, test, _) in zip(columns, self._fields)
-                ):
-                    return columns
+        if {*map(type, raws)} <= {dict}:
+            columns = self._checked_columns(raws)
+            if columns is not None:
+                return columns
         return [*map(list, zip(*[self.read(raw, where) for raw in raws]))]
+
+    def _checked_columns(self, raws: list[dict]) -> list[list] | None:
+        """What ``columns`` returns for *raws*, or ``None`` if any is bad."""
+        size = len(raws) * len(self._columns)
+        columns = []
+        for key, default, types, test in self._columns:
+            if default is _MISSING:
+                try:
+                    column = [*map(itemgetter(key), raws)]
+                except KeyError:
+                    return None
+            else:
+                present = sum(map(dict.__contains__, raws, repeat(key)))
+                size -= len(raws) - present
+                if not present:
+                    columns.append([default] * len(raws))
+                    continue
+                column = [*map(dict.get, raws, repeat(key), repeat(default))]
+            if not {*map(type, column)} <= types:
+                return None
+            if test is not None:
+                cells = column if default is not None else [*filter(_not_none, column)]
+                if not test(cells):
+                    return None
+            columns.append(column)
+        return columns if sum(map(len, raws)) == size else None
 
     def _fail(self, raw: dict, where: str, problem: str) -> None:
         """Raise for *problem*, or first for the unknown keys of *raw*."""
@@ -544,6 +602,17 @@ def shared_label_findings(
             )
         else:
             first[key] = member_id
+
+
+def holds_stopword(labels: Iterable[str], stoplist: set[str]) -> bool:
+    """Whether a word of one of *labels*, lowercased, is in *stoplist*.
+
+    One ``findall`` reads the labels joined by line breaks, which no word
+    spans.  Each word is lowercased after it is found, as
+    ``stopword_findings`` does: lowercasing the text first would differ,
+    since the Kelvin sign, outside the word pattern, lowercases to ``k``.
+    """
+    return not stoplist.isdisjoint(map(str.lower, _WORD_RE.findall("\n".join(labels))))
 
 
 def stopword_findings(path: str, label: str, stoplist: set[str]) -> list[Finding]:

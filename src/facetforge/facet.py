@@ -214,10 +214,11 @@ def chain_index(
     label tails of deeper headings.
     """
     links = chain_links(schedule, number)
+    texts = [link.label.text for link in links]
     headings: list[SubjectHeading] = []
     for index in range(len(links) - 1, -1, -1):
         if not links[index].sought:
             continue
-        labels = [links[i].label.text for i in range(index, -1, -1)]
-        headings.append(SubjectHeading(", ".join(labels), links[index].prefix))
+        heading = ", ".join(reversed(texts[: index + 1]))
+        headings.append(SubjectHeading(heading, links[index].prefix))
     return headings

@@ -11,8 +11,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterator, Sequence
+from itertools import count, repeat
+from operator import attrgetter, lt
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     Fields,
@@ -20,6 +21,8 @@ from .core import (
     FormatError,
     Label,
     finding,
+    holds_stopword,
+    misfits,
     parent_cycles,
     parse_json,
     sort_findings,
@@ -42,6 +45,8 @@ __all__ = [
 
 INDICATORS = (",", ";", ":", ".", "'")
 _RESERVED = re.compile(r"[\s,;:.']")  # whitespace and the INDICATORS
+# Finds the notations of a column that are empty or hold a _RESERVED character.
+_NOTATION_MISFITS = misfits(r"[^\s,;:.']+")
 
 
 @dataclass(frozen=True)
@@ -52,15 +57,7 @@ class Characteristic:
     description: str = ""
 
 
-@dataclass(frozen=True)
-class Concept:
-    """One concept in a schedule.
-
-    ``notation`` is the concept's own segment; its full notation is the
-    concatenation of segments from its array root down to it.
-    ``characteristic_value`` is absent only for the schedule base.
-    """
-
+class _ConceptFields(NamedTuple):
     id: str
     notation: str
     label: Label
@@ -70,9 +67,50 @@ class Concept:
     residual: bool = False
     ordinal: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.notation:
-            raise ValueError(f"concept {self.id!r}: notation is empty")
+
+class Concept(_ConceptFields):
+    """One concept in a schedule.
+
+    ``notation`` is the concept's own segment; its full notation is the
+    concatenation of segments from its array root down to it.
+    ``characteristic_value`` is absent only for the schedule base.
+
+    A validated named tuple like ``core.Iri``: it equals, and hashes like,
+    the plain tuple of its fields, and every way of making one (call,
+    keywords, ``_make``, ``_replace``, copy, pickle) runs the check.  That
+    lets ``load_schedule`` check a category's concepts in bulk, a column at
+    a time, and make them with ``tuple.__new__``; a category with any fault
+    is read again concept by concept, so the first bad concept raises.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        notation: str,
+        label: Label,
+        characteristic_value: tuple[str, str] | None = None,
+        parent: str | None = None,
+        sought: bool = True,
+        residual: bool = False,
+        ordinal: int = 0,
+    ) -> Concept:
+        if not notation:
+            raise ValueError(f"concept {id!r}: notation is empty")
+        return tuple.__new__(
+            cls, (id, notation, label, characteristic_value, parent, sought, residual, ordinal)
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> Concept:
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
+
+
+_ID, _PARENT, _LABEL_TEXT = attrgetter("id"), attrgetter("parent"), attrgetter("label.text")
 
 
 @dataclass(frozen=True)
@@ -256,27 +294,7 @@ def load_schedule(document: str | bytes) -> ClassificationSchedule:
         seen_codes.add(code)
         seen_indicators.add(indicator)
 
-        concepts: list[Concept] = []
-        for concept_raw in concepts_raw:
-            concept_id, notation, label, value, parent, sought, residual, ordinal = (
-                _CONCEPT.read(concept_raw, where)
-            )
-            if concept_id in seen_ids:
-                raise FormatError(f"{where}: duplicate concept id {concept_id!r}")
-            seen_ids.add(concept_id)
-            _check_notation(notation, f"{where}/{concept_id}")
-            concepts.append(
-                Concept(
-                    id=concept_id,
-                    notation=notation,
-                    label=Label(label),
-                    characteristic_value=(characteristic, value),
-                    parent=parent,
-                    sought=sought,
-                    residual=residual,
-                    ordinal=ordinal,
-                )
-            )
+        concepts = _read_concepts(concepts_raw, characteristic, seen_ids, where)
         _check_forest(code, concepts)
         try:
             category = FacetCategory(code, indicator, characteristic, tuple(concepts))
@@ -294,6 +312,66 @@ def load_schedule(document: str | bytes) -> ClassificationSchedule:
     )
 
 
+def _read_concepts(
+    raws: list, characteristic: str, seen_ids: set[str], where: str
+) -> list[Concept]:
+    """One category's concepts, checked and made a column at a time.
+
+    ``Fields.columns`` checks the keys and kinds, then the ids are checked
+    for repeats (within the category and against *seen_ids*, which takes
+    them in) and the notations against the reserved characters, each with
+    a pass or two over the whole column.  A category with any fault is read
+    again concept by concept, so the first bad concept in stored order
+    raises the loader's ``FormatError``.
+    """
+    try:
+        ids, notations, labels, values, parents, sought, residual, ordinals = (
+            _CONCEPT.columns(raws, where)
+        )
+    except FormatError:
+        return _read_each_concept(raws, characteristic, seen_ids, where)
+    if len({*ids}) != len(ids) or not seen_ids.isdisjoint(ids) or _NOTATION_MISFITS(notations):
+        return _read_each_concept(raws, characteristic, seen_ids, where)
+    seen_ids.update(ids)
+    labels = [*map(tuple.__new__, repeat(Label), zip(labels, repeat("en")))]
+    values = zip(repeat(characteristic), values)
+    return [
+        *map(
+            tuple.__new__,
+            repeat(Concept),
+            zip(ids, notations, labels, values, parents, sought, residual, ordinals),
+        )
+    ]
+
+
+def _read_each_concept(
+    raws: list, characteristic: str, seen_ids: set[str], where: str
+) -> list[Concept]:
+    """``_read_concepts`` one concept at a time, raising at the first fault."""
+    concepts: list[Concept] = []
+    for concept_raw in raws:
+        concept_id, notation, label, value, parent, sought, residual, ordinal = (
+            _CONCEPT.read(concept_raw, where)
+        )
+        if concept_id in seen_ids:
+            raise FormatError(f"{where}: duplicate concept id {concept_id!r}")
+        seen_ids.add(concept_id)
+        _check_notation(notation, f"{where}/{concept_id}")
+        concepts.append(
+            Concept(
+                id=concept_id,
+                notation=notation,
+                label=Label(label),
+                characteristic_value=(characteristic, value),
+                parent=parent,
+                sought=sought,
+                residual=residual,
+                ordinal=ordinal,
+            )
+        )
+    return concepts
+
+
 def _check_forest(code: str, concepts: Sequence[Concept]) -> None:
     """Refuse a category whose concepts do not form a forest.
 
@@ -301,7 +379,20 @@ def _check_forest(code: str, concepts: Sequence[Concept]) -> None:
     category has, and a parent cycle, each with the loader's text and the
     first such fault in stored order.  ``load_schedule`` and
     ``lint_schedule`` share this check.
+
+    A few passes in C pass the usual category, whose ids are distinct and
+    whose concepts each come after their parent, which rules out a cycle;
+    any other is walked one concept at a time.
     """
+    ids = [*map(_ID, concepts)]
+    parents = [*map(_PARENT, concepts)]
+    order = dict(zip(ids, count()))
+    if (
+        len(order) == len(ids)
+        and {*parents}.difference(order) <= {None}
+        and all(map(lt, map(order.get, parents, repeat(-1)), count()))
+    ):
+        return
     by_id: dict[str, Concept] = {}
     for concept in concepts:
         if concept.id in by_id:
@@ -310,7 +401,7 @@ def _check_forest(code: str, concepts: Sequence[Concept]) -> None:
     for concept in concepts:
         if concept.parent is not None and concept.parent not in by_id:
             raise FormatError(f"category {code}: dangling reference {concept.parent!r}")
-    for last, _ in parent_cycles(by_id, attrgetter("parent")):
+    for last, _ in parent_cycles(by_id, _PARENT):
         raise FormatError(f"category {code}: broken parent chain at {last!r}")
 
 
@@ -319,12 +410,34 @@ def _check_category_shape(category: FacetCategory) -> None:
 
     Sibling segments must be prefix-free: longest-match resolution is exact
     only under that restriction, and class-number parsing relies on it.
+    Only a category that fails ``_prefix_free`` is checked group by group,
+    in the order that names its first bad group.
     """
+    if _prefix_free(category):
+        return
     _check_siblings(category, category.roots())
     for concept in category.concepts:
         kids = category._children.get(concept.id)
         if kids:
             _check_siblings(category, kids)
+
+
+def _prefix_free(category: FacetCategory) -> bool:
+    """Whether each sibling group of *category*, the roots included, has
+    distinct segments none of which is a prefix of another.
+
+    Then, since no segment is empty, no two concepts of the category share
+    a full notation.  Segments that are distinct and all of one length
+    pass without a sort.
+    """
+    for parent, (longest, by_segment) in category._segments.items():
+        if len(by_segment) < len(category._children[parent]):
+            return False
+        if min(map(len, by_segment)) < longest:
+            ordered = sorted(by_segment)
+            if any(map(str.startswith, ordered[1:], ordered)):
+                return False
+    return True
 
 
 def _check_siblings(category: FacetCategory, siblings: Sequence[Concept]) -> None:
@@ -404,13 +517,17 @@ def lint_schedule(
     for category in schedule.categories:
         _check_forest(category.code, category.concepts)
         _lint_array(category.code, category.roots(), config, findings)
-        # Each concept's full notation, and each notation's first concept in
-        # stored order, for NP2; both are rebound here so that only one
-        # category's notations are held at a time.
-        notations: dict[str, str] = {}
-        first: dict[str, str] = {}
+        # VP1 reads each label on its own only in a category where one pass
+        # over all its labels finds a stopword.
+        vp1 = bool(stoplist) and holds_stopword(map(_LABEL_TEXT, category.concepts), stoplist)
+        # Each concept's full notation, for NP2.  Two can coincide only in a
+        # category with a sibling group whose segments repeat or are not
+        # prefix-free, so only there is the table kept, one category's at a
+        # time.
+        notations = {} if enabled("NP2") and not _prefix_free(category) else None
         for concept, parent, path, notation, chain in _walk(category):
-            notations[concept.id] = notation
+            if notations is not None:
+                notations[concept.id] = notation
             if concept.id in shared:
                 occurrences.setdefault(concept.id, []).append(f"{category.code}:{notation}")
             kids = category._children.get(concept.id)
@@ -428,9 +545,10 @@ def lint_schedule(
                     findings.append(finding("CH1", path, "concept adds no characteristic value"))
                 elif parent is not None and parent.characteristic_value == value:
                     findings.append(finding("CH1", path, "concept repeats its parent's value"))
-            if stoplist:
+            if vp1:
                 findings.extend(stopword_findings(path, concept.label.text, stoplist))
-        if enabled("NP2"):
+        if notations is not None:
+            first: dict[str, str] = {}
             for concept in category.concepts:
                 notation = notations[concept.id]
                 owner = first.setdefault(notation, concept.id)

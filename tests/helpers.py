@@ -10,6 +10,7 @@ import random
 import re
 from collections.abc import Sequence
 from datetime import date, datetime, timezone
+from operator import attrgetter
 
 from facetforge.core import (
     Finding,
@@ -20,6 +21,8 @@ from facetforge.core import (
     finding,
     format_timestamp,
     mint_iri,
+    parent_cycles,
+    parse_json,
     parse_timestamp,
     sort_findings,
     stopword_findings,
@@ -49,6 +52,11 @@ from facetforge.lexsem import LexicalSemanticResource, Synset
 from facetforge.ontology import LightweightOntology, OntologyNode
 from facetforge.query import BindingTable, Pattern, Query, Term, Variable
 from facetforge.schedule import (
+    _BASE,
+    _CATEGORY,
+    _CONCEPT,
+    _RESERVED,
+    _SCHEDULE,
     INDICATORS,
     ClassificationSchedule,
     Concept,
@@ -1801,3 +1809,265 @@ def random_lint_forest(rng: random.Random) -> tuple[ClassificationSchedule, Lint
         path for path in arrays if rng.random() < 0.5
     )
     return schedule, LintConfig(enabled=enabled, exhaustive_arrays=exhaustive)
+
+
+# ---------------------------------------------------------------------------
+# ``load_schedule`` as it read each concept on its own, with one
+# ``Fields.read`` and one ``Concept`` and ``Label`` call per concept, and
+# checked each category's forest and sibling segments one concept at a time
+
+
+def _oracle_check_notation(notation: str, where: str) -> None:
+    if not notation:
+        raise FormatError(f"{where}: notation must be non-empty text")
+    reserved = _RESERVED.search(notation)
+    if reserved:
+        raise FormatError(f"{where}: notation {notation!r} contains reserved {reserved[0]!r}")
+
+
+def oracle_load_schedule(document: str | bytes) -> ClassificationSchedule:
+    """Load and fully resolve a schedule from its JSON file format."""
+    schedule_id, base_raw, succession, stoplist, categories_raw = _SCHEDULE.read(
+        parse_json(document, "schedule"), "schedule"
+    )
+    base_id, base_notation, base_label = _BASE.read(base_raw, "schedule base")
+    _oracle_check_notation(base_notation, "base")
+    base = Concept(id=base_id, notation=base_notation, label=Label(base_label))
+
+    succession = tuple(succession)
+    if len(set(succession)) != len(succession):
+        raise FormatError("schedule: duplicate characteristic in succession")
+
+    categories: list[FacetCategory] = []
+    seen_ids = {base.id}
+    seen_codes: set[str] = set()
+    seen_indicators: set[str] = set()
+    for cat_raw in categories_raw:
+        code, indicator, characteristic, concepts_raw = _CATEGORY.read(cat_raw, "category")
+        where = f"category {code}"
+        if code in seen_codes:
+            raise FormatError(f"{where}: duplicate category code")
+        if indicator in seen_indicators:
+            raise FormatError(f"{where}: indicator {indicator!r} already used")
+        if characteristic not in succession:
+            raise FormatError(f"{where}: characteristic {characteristic!r} not in succession")
+        seen_codes.add(code)
+        seen_indicators.add(indicator)
+
+        concepts: list[Concept] = []
+        for concept_raw in concepts_raw:
+            concept_id, notation, label, value, parent, sought, residual, ordinal = (
+                _CONCEPT.read(concept_raw, where)
+            )
+            if concept_id in seen_ids:
+                raise FormatError(f"{where}: duplicate concept id {concept_id!r}")
+            seen_ids.add(concept_id)
+            _oracle_check_notation(notation, f"{where}/{concept_id}")
+            concepts.append(
+                Concept(
+                    id=concept_id,
+                    notation=notation,
+                    label=Label(label),
+                    characteristic_value=(characteristic, value),
+                    parent=parent,
+                    sought=sought,
+                    residual=residual,
+                    ordinal=ordinal,
+                )
+            )
+        _oracle_check_forest(code, concepts)
+        try:
+            category = FacetCategory(code, indicator, characteristic, tuple(concepts))
+        except ValueError as exc:  # a bad code or indicator
+            raise FormatError(str(exc)) from None
+        _oracle_check_category_shape(category)
+        categories.append(category)
+
+    return ClassificationSchedule(
+        id=schedule_id,
+        base=base,
+        succession=succession,
+        categories=tuple(categories),
+        reticence_stoplist=tuple(word.lower() for word in stoplist),
+    )
+
+
+def _oracle_check_forest(code: str, concepts: Sequence[Concept]) -> None:
+    """Refuse a category whose concepts do not form a forest.
+
+    In this order: an id stored twice, a parent that no concept of the
+    category has, and a parent cycle, each with the loader's text and the
+    first such fault in stored order.  ``load_schedule`` and
+    ``lint_schedule`` share this check.
+    """
+    by_id: dict[str, Concept] = {}
+    for concept in concepts:
+        if concept.id in by_id:
+            raise FormatError(f"category {code}: duplicate concept id {concept.id!r}")
+        by_id[concept.id] = concept
+    for concept in concepts:
+        if concept.parent is not None and concept.parent not in by_id:
+            raise FormatError(f"category {code}: dangling reference {concept.parent!r}")
+    for last, _ in parent_cycles(by_id, attrgetter("parent")):
+        raise FormatError(f"category {code}: broken parent chain at {last!r}")
+
+
+def _oracle_check_category_shape(category: FacetCategory) -> None:
+    """Reject ambiguous sibling segments at load time.
+
+    Sibling segments must be prefix-free: longest-match resolution is exact
+    only under that restriction, and class-number parsing relies on it.
+    """
+    _oracle_check_siblings(category, category.roots())
+    for concept in category.concepts:
+        kids = category._children.get(concept.id)
+        if kids:
+            _oracle_check_siblings(category, kids)
+
+
+def _oracle_check_siblings(category: FacetCategory, siblings: Sequence[Concept]) -> None:
+    segments = [c.notation for c in siblings]
+    if len(set(segments)) != len(segments):
+        raise FormatError(f"category {category.code}: duplicate sibling notation")
+    # Distinct segments are prefix-free exactly when no segment is a prefix
+    # of the one after it in sorted order.
+    ordered = sorted(segments)
+    prefixes = {a for a, b in zip(ordered, ordered[1:]) if b.startswith(a)}
+    if prefixes:
+        # Name the pair that a scan of all pairs in stored order meets first.
+        a = next(s for s in segments if s in prefixes)
+        b = next(s for s in segments if s != a and s.startswith(a))
+        raise FormatError(
+            f"category {category.code}: sibling notations {a!r} and {b!r}"
+            " are not prefix-free"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Random schedule documents, valid or with seeded faults, for the loader
+
+
+SCHEDULE_FAULTS = (
+    "repeated id", "id of an earlier category", "base id", "bad id", "reserved notation",
+    "empty notation", "blank label", "unknown key", "missing key", "retyped value",
+    "null sought", "dangling parent", "parent cycle", "repeated sibling notation",
+    "prefix sibling notation", "not an object",
+)
+
+
+def random_schedule_document(rng: random.Random, faults: int = 0) -> str:
+    """A schedule document, valid unless *faults* of ``SCHEDULE_FAULTS`` are
+    seeded into its concepts.
+
+    Categories are bushy (wide and shallow), deep (long chains with a few
+    branches) or empty.  Roots either hold ``"parent": null`` or leave the
+    key out, ``sought`` and ``residual`` are present or absent, keys come in
+    any order, and a category's concepts are sometimes stored children
+    first.  Sibling segments are prefix-free, of one length or of mixed
+    lengths.
+    """
+    succession = [f"division-{i}" for i in range(rng.randint(1, 5))]
+    codes = rng.sample("ABCDEFGHJKLMPQRSTUVWXYZ", rng.randint(0, len(succession)))
+    indicators = rng.sample(_INDICATORS, len(codes))
+    words = ["Alpha", "Beta", "Gamma", "Delta", "général", "misc", "K\u212aelvin", "Zeta eta"]
+    uid = itertools.count()
+    categories = []
+    for code, indicator in zip(codes, indicators):
+        concepts: list[dict] = []
+
+        def add(parent: str | None, depth: int) -> None:
+            if parent is None:
+                width = rng.randint(1, 6)
+            elif shape == "deep":
+                width = 1 if depth < length else 0
+                width += rng.random() < 0.05
+            else:
+                width = rng.randint(0, 5) if depth < 3 else 0
+            if not width:
+                return
+            if rng.random() < 0.3:
+                segments = rng.sample(["1", "23", "24", "5A", "6", "70", "8", "9B9"], width)
+            else:
+                segments = _segments(rng, width, rng.randint(1, 2))
+            for ordinal, segment in enumerate(segments):
+                serial = next(uid)
+                raw = {
+                    "id": f"{code.lower()}{serial}", "notation": segment,
+                    "label": f"{rng.choice(words)} {serial}", "value": f"v{serial % 7}",
+                    "ordinal": rng.choice([ordinal, rng.randint(-2, 9)]),
+                }
+                if parent is not None or rng.random() < 0.5:
+                    raw["parent"] = parent
+                for key in ("sought", "residual"):
+                    if rng.random() < 0.5:
+                        raw[key] = rng.random() < 0.5
+                items = list(raw.items())
+                rng.shuffle(items)
+                concepts.append(dict(items))
+                add(raw["id"], depth + 1)
+
+        shape = rng.choice(["bushy", "deep", "empty"])
+        length = rng.randint(1, 60)
+        if shape != "empty":
+            add(None, 1)
+        if rng.random() < 0.2:
+            concepts.reverse()
+        categories.append({
+            "code": code, "indicator": indicator, "characteristic": rng.choice(succession),
+            "concepts": concepts,
+        })
+    document = {
+        "id": "DOC", "base": {"id": "base", "notation": "L", "label": "Base"},
+        "succession": succession, "stoplist": ["misc"], "categories": categories,
+    }
+    placed = [category["concepts"] for category in categories if category["concepts"]]
+    for _ in range(faults if placed else 0):
+        _seed_schedule_fault(rng, placed)
+    return json.dumps(document, ensure_ascii=rng.random() < 0.5)
+
+
+def _seed_schedule_fault(rng: random.Random, placed: list[list[dict]]) -> None:
+    objects = [[c for c in concepts if isinstance(c, dict)] for concepts in placed]
+    if not all(objects):
+        return
+    index = rng.randrange(len(placed))
+    concepts, siblings = placed[index], objects[index]
+    target = rng.choice(siblings)
+    other = rng.choice(rng.choice(objects))
+    fault = rng.choice(SCHEDULE_FAULTS)
+    if fault == "repeated id":
+        target["id"] = rng.choice(siblings)["id"]
+    elif fault == "id of an earlier category":
+        target["id"] = other["id"]
+    elif fault == "base id":
+        target["id"] = "base"
+    elif fault == "bad id":
+        target["id"] = rng.choice(["a b", "", "é", "x/y", "a\nb"])
+    elif fault == "reserved notation":
+        target["notation"] = rng.choice(["1,2", "A B", "9.", "'", "x\n"])
+    elif fault == "empty notation":
+        target["notation"] = ""
+    elif fault == "blank label":
+        target["label"] = rng.choice(["", "  ", "\n"])
+    elif fault == "unknown key":
+        target[rng.choice(["note", "parnet"])] = "x"
+        if rng.random() < 0.5:  # as many keys as before
+            target.pop(rng.choice(["sought", "residual", "parent"]), None)
+    elif fault == "missing key":
+        target.pop(rng.choice(["id", "notation", "label", "value", "ordinal"]))
+    elif fault == "retyped value":
+        key = rng.choice(["id", "notation", "label", "value", "parent", "sought", "residual",
+                          "ordinal"])
+        target[key] = rng.choice([5, 1.5, True, None, [], {}, "x"])
+    elif fault == "null sought":
+        target[rng.choice(["sought", "residual"])] = None
+    elif fault == "dangling parent":
+        target["parent"] = "nowhere"
+    elif fault == "parent cycle":
+        target["parent"] = rng.choice(siblings)["id"]
+    elif fault == "repeated sibling notation":
+        target["notation"] = rng.choice(siblings)["notation"]
+    elif fault == "prefix sibling notation":
+        target["notation"] = rng.choice(siblings)["notation"][:1] + rng.choice(["", "Q"])
+    else:
+        concepts[concepts.index(target)] = rng.choice([[], "concept", None, 3])

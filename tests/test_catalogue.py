@@ -143,6 +143,77 @@ class TestBuildRecord:
         assert load_record(rendered) == record
 
 
+    @pytest.mark.parametrize(
+        ("accession", "imprint", "message"),
+        [
+            (True, FULL_IMPRINT, "accession number must be an integer, got True"),
+            (2.0, FULL_IMPRINT, "accession number must be an integer, got 2.0"),
+            ("2", FULL_IMPRINT, "accession number must be an integer, got '2'"),
+            (1, dict(FULL_IMPRINT, pages=300), "field 'pages': value must be a string, got 300"),
+            (1, dict(FULL_IMPRINT, place=None), "field 'place': value must be a string, got None"),
+        ],
+    )
+    def test_what_a_record_file_cannot_hold_is_refused(
+        self, ccc, med_headings, accession, imprint, message
+    ):
+        call = CallNumber("L,9C:4.44", "SCH73")
+        with pytest.raises(ValueError) as caught:
+            build_record(ccc, "Book", imprint, med_headings, call, accession)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        ("year", "accession", "message"),
+        [
+            (1973.0, 1, "year must be an integer, got 1973.0"),
+            (True, 1, "year must be an integer, got True"),
+            ("1973", 1, "year must be an integer, got '1973'"),
+            (1973, False, "accession number must be an integer, got False"),
+            (1973, 1.5, "accession number must be an integer, got 1.5"),
+        ],
+    )
+    def test_call_numbers_need_integer_years_and_accessions(self, year, accession, message):
+        with pytest.raises(ValueError) as caught:
+            make_call_number("L", "Schumacher", year, accession)
+        assert str(caught.value) == message
+
+    def test_every_record_build_record_accepts_round_trips(self, med_headings):
+        """Over accession numbers, years and field values of many types and
+        texts, a record either is refused or comes back equal from its JSON
+        form."""
+        code = load_catalogue_code(json.dumps(ccc_document(
+            local_variations=[{"field": "place", "template": "at {value}"}]
+        )))
+        rng = random.Random(5)
+
+        def pick(good: list, bad: list):
+            return rng.choice(bad) if rng.random() < 0.1 else rng.choice(good)
+
+        outcomes = []
+        for _ in range(400):
+            imprint = {
+                key: pick(
+                    ["", "290", "{value}", "Brontë", "line\nbreak \u2028", "\ud800", value],
+                    [290, None, 2.5, True],
+                )
+                for key, value in FULL_IMPRINT.items()
+                if key in {"title", "author", "publisher", "date"} or rng.random() < 0.5
+            }
+            accession = pick([1, 7, 10**20], [True, False, 2.0, "4", None, 0, -3])
+            year = pick([1973, 2024], [1973.0, True, "1973"])
+            try:
+                call = make_call_number("L,9C:4.44", "Schumacher", year, accession)
+                record = build_record(
+                    code, "Book", imprint, med_headings[: rng.randint(0, 4)], call, accession
+                )
+            except ValueError:
+                outcomes.append("refused")
+                continue
+            assert load_record(record_to_json(record)) == record
+            assert load_record(record_to_json(record).encode()) == record
+            outcomes.append("kept")
+        assert min(outcomes.count("refused"), outcomes.count("kept")) >= 50, outcomes
+
+
 class TestLintRecords:
     def build(self, ccc, med_headings, imprint, accession):
         call = make_call_number("L,9C:4.44", "Schumacher", 1973, accession)

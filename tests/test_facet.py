@@ -139,7 +139,7 @@ class TestChainIndex:
                 dataclasses.replace(
                     category,
                     concepts=tuple(
-                        dataclasses.replace(c, sought=False) if c.id == "disease" else c
+                        c._replace(sought=False) if c.id == "disease" else c
                         for c in category.concepts
                     ),
                 )

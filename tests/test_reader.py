@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, seed, settings, strategies as st
@@ -29,6 +30,7 @@ from facetforge.fixtures import fixture_path, fixture_text
 from facetforge.lexsem import load_lexsem
 from facetforge.ontology import canonical_json, load_dataset_schema, load_ontology_json
 from facetforge.schedule import load_schedule
+from helpers import oracle_load_schedule, random_schedule_document
 
 DEEP = 10**5
 DEEP_ARRAY = "[" * DEEP + "]" * DEEP
@@ -99,6 +101,9 @@ class TestFields:
             ({"name": "n", "label": "L", "items": [{}, []]}, "x: 'items' must be a list of objects"),
             ({"name": "n", "label": "L", "meta": []}, "x: 'meta' must be an object"),
             ({"label": "L", "typo": 1}, "x: unknown keys ['typo']"),
+            # As many keys as a full object: one optional key left out, one unknown.
+            ({k: v for k, v in FULL.items() if k != "count"} | {"typo": 1},
+             "x: unknown keys ['typo']"),
         ],
     )
     def test_malformed_objects_name_the_fault(self, raw, message):
@@ -120,10 +125,28 @@ class TestFields:
         )
         sparse = [FULL, {"name": "n", "label": "L"}, dict(FULL, note=None)]
         assert TABLE.columns(sparse, "x") == by_column(sparse)
+        assert TABLE.columns([{"name": "n", "label": "L"}] * 2, "x") == [
+            ["n", "n"], ["L", "L"], [None, None], [False, False], [0, 0], [(), ()], [(), ()],
+            [None, None],
+        ]
         single = Fields(("name", "string"))
         assert single.columns([{"name": "a"}, {"name": "b"}], "x") == [["a", "b"]]
         with pytest.raises(FormatError, match=r"^x: 'name' must be a string$"):
             single.columns([{"name": "a"}, {"name": 1}], "x")
+
+
+    def test_columns_read_valid_objects_in_bulk(self, monkeypatch):
+        """Optional keys absent, present or ``null`` (where the default is
+        ``None``) do not make ``columns`` read the objects one at a time."""
+        sparse = [FULL, {"name": "n", "label": "L"}, dict(FULL, note=None, meta=None)]
+        expected = [[TABLE.read(raw, "x")[index] for raw in sparse] for index in range(8)]
+
+        def refuse(self, raw, where):
+            raise AssertionError("read one object at a time")
+
+        monkeypatch.setattr(Fields, "read", refuse)
+        assert TABLE.columns(sparse, "x") == expected
+        assert TABLE.columns([FULL] * 3, "x") == [[value] * 3 for value in FULL.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +215,38 @@ def test_cli_exits_2_on_a_deep_schedule(tmp_path, capsys):
     path.write_text(with_deep_array(json.loads(fixture_text("med.schedule.json")), "stoplist"))
     assert main(["schedule", "lint", str(path)]) == 2
     assert capsys.readouterr().err == "error: schedule: 'stoplist' must be a list of strings\n"
+
+
+# ---------------------------------------------------------------------------
+# The schedule loader checks a category in bulk and reads a faulty one concept
+# by concept: it refuses each mutated document as the loader that read one
+# concept at a time did, with the same text
+
+
+def _load_outcome(load, data: bytes) -> tuple[str, str]:
+    try:
+        return "loaded", repr(load(data))
+    except FormatError as exc:
+        return "refused", str(exc)
+
+
+@pytest.mark.parametrize("document", ["fixture", "generated"])
+def test_mutated_schedules_fail_as_the_oracle_loader_fails(document):
+    if document == "fixture":
+        text = fixture_text("med.schedule.json")
+    else:
+        text = random_schedule_document(random.Random(11))
+
+    @seed(20240101)
+    @settings(
+        max_examples=150, derandomize=True, deadline=None, database=None,
+        phases=[Phase.explicit, Phase.generate], suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(mutations(text))
+    def check(data: bytes) -> None:
+        assert _load_outcome(load_schedule, data) == _load_outcome(oracle_load_schedule, data)
+
+    check()
 
 
 # ---------------------------------------------------------------------------
