@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import Fields, Finding, FormatError, check, finding, parse_json, sort_findings
+from .core import Checked, Fields, Finding, FormatError, check, finding, parse_json, sort_findings
 from .facet import SubjectHeading
 
 __all__ = [
@@ -69,13 +69,18 @@ class CatalogueCode:
         return self.resource_types[resource_type]
 
 
-@dataclass(frozen=True)
-class CallNumber:
+class _CallNumberFields(NamedTuple):
     class_part: str
     book_part: str
 
-    def __post_init__(self) -> None:
-        if not _BOOK_PART_RE.match(self.book_part):
+
+class CallNumber(Checked, _CallNumberFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
+        if not isinstance(self.class_part, str):
+            raise ValueError(f"call number class part must be a string, got {self.class_part!r}")
+        if not isinstance(self.book_part, str) or not _BOOK_PART_RE.match(self.book_part):
             raise ValueError(f"invalid book part {self.book_part!r}")
 
 
@@ -211,6 +216,11 @@ def build_record(
     accession: int,
 ) -> CatalogueRecord:
     """Assemble a catalogue record with fields ordered per the code."""
+    for heading in headings:
+        if not isinstance(heading, SubjectHeading):
+            raise ValueError(f"heading must be a SubjectHeading, got {heading!r}")
+    if not isinstance(call_number, CallNumber):
+        raise ValueError(f"call number must be a CallNumber, got {call_number!r}")
     specs = code.specs(resource_type)
     spec_keys = {s.key for s in specs}
 

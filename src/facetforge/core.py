@@ -18,6 +18,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTu
 __all__ = [
     "ERROR",
     "WARNING",
+    "Checked",
     "Fields",
     "Finding",
     "FormatError",
@@ -109,30 +110,47 @@ def misfits(pattern: str) -> Callable[[Sequence[str]], Sequence[int]]:
 _IRI_MISFITS = misfits(_IRI)
 
 
-class _IriFields(NamedTuple):
-    value: str
+class Checked(tuple):
+    """Base of the validated named tuples: ``class X(Checked, _XFields)``,
+    where ``_XFields`` is a ``NamedTuple`` of X's fields and X defines
+    ``_check(self)``, which raises ``ValueError`` for a bad value.
 
-
-class Iri(_IriFields):
-    """Absolute IRI of the form ``scheme://authority/path``.
-
-    A validated named tuple: it equals, and hashes like, the plain
-    ``(value,)`` tuple, so comparing two IRIs runs in C.  Every way of making
-    one (call, ``_make``, ``_replace``, copy, pickle) runs the check.
+    X equals, and hashes like, the plain tuple of its fields, so comparing
+    and hashing run in C.  Every way of making one (a call with positions,
+    keywords or defaults, ``_make``, ``_replace``, ``copy.replace``, copy
+    and pickle) runs ``_check``.  A bulk path that has checked many values
+    at once may make them with ``tuple.__new__``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, value: str) -> Iri:
-        if not isinstance(value, str) or not _IRI_RE.match(value):
-            raise ValueError(
-                f"invalid IRI (expected scheme://authority/path, no spaces): {value!r}"
-            )
-        return tuple.__new__(cls, (value,))
+    def __new__(cls, *args: Any, **kwargs: Any) -> Any:
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
 
     @classmethod
-    def _make(cls, iterable) -> Iri:
+    def _make(cls, iterable: Iterable) -> Any:
         return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
+
+
+class _IriFields(NamedTuple):
+    value: str
+
+
+class Iri(Checked, _IriFields):
+    """Absolute IRI of the form ``scheme://authority/path``."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        if not isinstance(self.value, str) or not _IRI_RE.match(self.value):
+            raise ValueError(
+                f"invalid IRI (expected scheme://authority/path, no spaces): {self.value!r}"
+            )
 
     @classmethod
     def many(cls, values: Sequence[str]) -> list[Iri]:
@@ -145,9 +163,6 @@ class Iri(_IriFields):
         if {*map(type, values)} <= {str} and not _IRI_MISFITS(values):
             return [*map(tuple.__new__, repeat(cls), zip(values))]
         return [*map(cls, values)]
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(self)
 
     def __str__(self) -> str:
         return self.value
@@ -191,32 +206,16 @@ class _LabelFields(NamedTuple):
     language: str = "en"
 
 
-class Label(_LabelFields):
-    """Human-readable text with a BCP-47-style language tag.
-
-    A validated named tuple like ``Iri``: it equals, and hashes like, the
-    plain ``(text, language)`` tuple, and every way of making one (call,
-    keywords, ``_make``, ``_replace``, copy, pickle) runs the check.  So
-    ``load_schedule`` can check a category's label texts a column at a time
-    and make its labels in bulk with ``tuple.__new__``; a category with any
-    fault is read again concept by concept, so the first bad one raises.
-    """
+class Label(Checked, _LabelFields):
+    """Human-readable text with a BCP-47-style language tag."""
 
     __slots__ = ()
 
-    def __new__(cls, text: str, language: str = "en") -> Label:
-        if not isinstance(text, str) or not text.strip():
+    def _check(self) -> None:
+        if not isinstance(self.text, str) or not self.text.strip():
             raise ValueError("label text is empty")
-        if not _LANGUAGE_RE.match(language):
-            raise ValueError(f"invalid language tag: {language!r}")
-        return tuple.__new__(cls, (text, language))
-
-    @classmethod
-    def _make(cls, iterable) -> Label:
-        return cls(*iterable)
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(self)
+        if not _LANGUAGE_RE.match(self.language):
+            raise ValueError(f"invalid language tag: {self.language!r}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     _IDENTIFIER,
+    Checked,
     Fields,
     Finding,
     FormatError,
@@ -81,20 +82,14 @@ class _LiteralFields(NamedTuple):
     datatype: str
 
 
-class Literal(_LiteralFields):
-    """A typed literal; a validated named tuple like ``core.Iri``: it equals,
-    and hashes like, the plain ``(text, datatype)`` tuple."""
+class Literal(Checked, _LiteralFields):
+    """A typed literal."""
 
     __slots__ = ()
 
-    def __new__(cls, text: str, datatype: str) -> Literal:
-        if datatype not in LITERAL_DATATYPES:
+    def _check(self) -> None:
+        if self.datatype not in LITERAL_DATATYPES:
             raise ValueError(f"literal datatype must be one of {LITERAL_DATATYPES}")
-        return tuple.__new__(cls, (text, datatype))
-
-    @classmethod
-    def _make(cls, iterable) -> Literal:
-        return cls(*iterable)
 
     @classmethod
     def many(cls, texts: Sequence[str], datatypes: Sequence[str]) -> list[Literal]:
@@ -104,9 +99,6 @@ class Literal(_LiteralFields):
         if all(map(LITERAL_DATATYPES.__contains__, datatypes)):
             return [*map(tuple.__new__, repeat(cls), zip(texts, datatypes))]
         return [*map(cls, texts, datatypes)]
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(self)
 
 
 class Triple(NamedTuple):

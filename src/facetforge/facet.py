@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .core import Label
+from .core import Checked, Label
 from .schedule import (
     INDICATORS,
     ClassificationSchedule,
@@ -174,14 +174,19 @@ class ChainLink:
     sought: bool
 
 
-@dataclass(frozen=True)
-class SubjectHeading:
+class _SubjectHeadingFields(NamedTuple):
     heading: str
     reference: str
 
-    def __post_init__(self) -> None:
+
+class SubjectHeading(Checked, _SubjectHeadingFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.heading:
             raise ValueError("subject heading is empty")
+        if not isinstance(self.heading, str) or not isinstance(self.reference, str):
+            raise ValueError(f"subject heading parts must be strings, got {tuple(self)!r}")
 
 
 def chain_links(schedule: ClassificationSchedule, number: ClassNumber) -> list[ChainLink]:

@@ -16,6 +16,7 @@ from operator import attrgetter, lt
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
+    Checked,
     Fields,
     Finding,
     FormatError,
@@ -68,46 +69,24 @@ class _ConceptFields(NamedTuple):
     ordinal: int = 0
 
 
-class Concept(_ConceptFields):
+class Concept(Checked, _ConceptFields):
     """One concept in a schedule.
 
     ``notation`` is the concept's own segment; its full notation is the
     concatenation of segments from its array root down to it.
     ``characteristic_value`` is absent only for the schedule base.
 
-    A validated named tuple like ``core.Iri``: it equals, and hashes like,
-    the plain tuple of its fields, and every way of making one (call,
-    keywords, ``_make``, ``_replace``, copy, pickle) runs the check.  That
-    lets ``load_schedule`` check a category's concepts in bulk, a column at
-    a time, and make them with ``tuple.__new__``; a category with any fault
-    is read again concept by concept, so the first bad concept raises.
+    ``load_schedule`` checks a category's concepts and labels in bulk, a
+    column at a time, and makes them with ``tuple.__new__``; a category
+    with any fault is read again concept by concept, so the first bad
+    concept raises.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        id: str,
-        notation: str,
-        label: Label,
-        characteristic_value: tuple[str, str] | None = None,
-        parent: str | None = None,
-        sought: bool = True,
-        residual: bool = False,
-        ordinal: int = 0,
-    ) -> Concept:
-        if not notation:
-            raise ValueError(f"concept {id!r}: notation is empty")
-        return tuple.__new__(
-            cls, (id, notation, label, characteristic_value, parent, sought, residual, ordinal)
-        )
-
-    @classmethod
-    def _make(cls, iterable) -> Concept:
-        return cls(*iterable)
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(self)
+    def _check(self) -> None:
+        if not self.notation:
+            raise ValueError(f"concept {self.id!r}: notation is empty")
 
 
 _ID, _PARENT, _LABEL_TEXT = attrgetter("id"), attrgetter("parent"), attrgetter("label.text")

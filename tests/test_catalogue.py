@@ -99,6 +99,12 @@ class TestMakeCallNumber:
             assert number not in register
             register.add(number)
 
+    def test_existing_may_be_any_iterable(self):
+        issued = [CallNumber(self.CLASS, "SCH73"), CallNumber("L", "NG01")]
+        for existing in (issued, set(issued), (n for n in issued)):
+            number = make_call_number(self.CLASS, "Schumacher", 1973, 9, existing)
+            assert number == CallNumber(self.CLASS, "SCH739")
+
 
 class TestBuildRecord:
     def test_full_imprint_record(self, ccc, med_headings):
@@ -176,10 +182,29 @@ class TestBuildRecord:
             make_call_number("L", "Schumacher", year, accession)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        ("headings", "call", "message"),
+        [
+            ([("Medicine", "L")], CallNumber("L", "SCH73"),
+             "heading must be a SubjectHeading, got ('Medicine', 'L')"),
+            (["Medicine"], CallNumber("L", "SCH73"),
+             "heading must be a SubjectHeading, got 'Medicine'"),
+            ([SubjectHeading("Medicine", "L")], ("L", "SCH73"),
+             "call number must be a CallNumber, got ('L', 'SCH73')"),
+            ([], SubjectHeading("L", "SCH73"),
+             "call number must be a CallNumber,"
+             " got SubjectHeading(heading='L', reference='SCH73')"),
+        ],
+    )
+    def test_headings_and_call_numbers_must_be_their_types(self, ccc, headings, call, message):
+        with pytest.raises(ValueError) as caught:
+            build_record(ccc, "Book", FULL_IMPRINT, headings, call, 1)
+        assert str(caught.value) == message
+
     def test_every_record_build_record_accepts_round_trips(self, med_headings):
-        """Over accession numbers, years and field values of many types and
-        texts, a record either is refused or comes back equal from its JSON
-        form."""
+        """Over accession numbers, years, class parts, headings and field
+        values of many types and texts, a record either is refused or comes
+        back equal from its JSON form."""
         code = load_catalogue_code(json.dumps(ccc_document(
             local_variations=[{"field": "place", "template": "at {value}"}]
         )))
@@ -200,11 +225,19 @@ class TestBuildRecord:
             }
             accession = pick([1, 7, 10**20], [True, False, 2.0, "4", None, 0, -3])
             year = pick([1973, 2024], [1973.0, True, "1973"])
+            headings = med_headings[: rng.randint(0, 4)]
+            class_number = pick(["L,9C:4.44", "", "Brontë"], [7, None])
+            parts = pick([(), ("Brontë", ""), ("line\nbreak", "L,9C")], [(5, "L"), ("H", None)])
+            plain = pick([None], ["heading", "call number"])
             try:
-                call = make_call_number("L,9C:4.44", "Schumacher", year, accession)
-                record = build_record(
-                    code, "Book", imprint, med_headings[: rng.randint(0, 4)], call, accession
-                )
+                call = make_call_number(class_number, "Schumacher", year, accession)
+                if parts:
+                    headings = [*headings, SubjectHeading(*parts)]
+                if plain == "heading":
+                    headings = [*map(tuple, headings)] or [("H", "L")]
+                elif plain == "call number":
+                    call = tuple(call)
+                record = build_record(code, "Book", imprint, headings, call, accession)
             except ValueError:
                 outcomes.append("refused")
                 continue

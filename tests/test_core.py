@@ -6,8 +6,10 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, strategies as st
 
+import facetforge
 from facetforge import core
 from facetforge.core import (
+    Checked,
     Finding,
     Identifier,
     Iri,
@@ -74,6 +76,19 @@ class TestIri:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             Iri(bad)
+
+
+def test_every_validated_tuple_has_one_construction_path():
+    """The validated named tuples all take ``Checked``'s ``__new__``,
+    ``_make`` and ``__reduce__``, so none can be made around its check."""
+    types = {
+        facetforge.Iri, facetforge.Label, facetforge.Literal, facetforge.Concept,
+        facetforge.CallNumber, facetforge.SubjectHeading,
+    }
+    assert set(Checked.__subclasses__()) == types
+    for value_type in types:
+        assert value_type.__mro__[1] is Checked and "_check" in vars(value_type)
+        assert not {"__new__", "_make", "__reduce__"} & vars(value_type).keys(), value_type
 
 
 class TestMintIri:

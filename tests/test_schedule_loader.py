@@ -15,8 +15,10 @@ from collections import Counter
 import pytest
 
 from facetforge import schedule as schedule_module
+from facetforge.catalogue import CallNumber
 from facetforge.core import Fields, FormatError, Label, holds_stopword, stopword_findings
 from facetforge.eg import Literal
+from facetforge.facet import SubjectHeading
 from facetforge.fixtures import fixture_text
 from facetforge.schedule import Concept, lint_schedule, load_schedule
 from helpers import oracle_load_schedule, random_schedule_document
@@ -76,15 +78,18 @@ def test_the_med_fixture_prints_as_it_did_with_dataclasses(med):
 
 
 class TestConceptLabelContract:
-    """``Concept`` and ``Label`` are validated named tuples like ``Iri``:
-    equal and hashed like the plain tuples of their fields, checked however
-    they are made."""
+    """``Concept`` and ``Label``, and the catalogue's ``CallNumber`` and
+    ``SubjectHeading``, are validated named tuples like ``Iri``: equal and
+    hashed like the plain tuples of their fields, checked however they are
+    made."""
 
     LABEL = Label("Child")
     CONCEPT = Concept("child", "9C", LABEL, ("ByAffectedPerson", "child"), "person", False, True, 2)
     PLAIN = (
         "child", "9C", ("Child", "en"), ("ByAffectedPerson", "child"), "person", False, True, 2
     )
+    CALL = CallNumber("L", "SCH73")
+    HEADING = SubjectHeading("Medicine", "L")
 
     def test_equal_and_hash_like_plain_tuples(self):
         assert Concept._fields == (
@@ -95,6 +100,12 @@ class TestConceptLabelContract:
         assert self.LABEL == ("Child", "en") and hash(self.LABEL) == hash(("Child", "en"))
         assert self.CONCEPT == self.PLAIN and hash(self.CONCEPT) == hash(self.PLAIN)
         assert Concept(*self.PLAIN[:2], Label("Child"), *self.PLAIN[3:]) == self.CONCEPT
+        assert CallNumber._fields == ("class_part", "book_part")
+        assert SubjectHeading._fields == ("heading", "reference")
+        assert self.CALL == ("L", "SCH73") and hash(self.CALL) == hash(("L", "SCH73"))
+        assert self.HEADING == ("Medicine", "L")
+        assert hash(self.HEADING) == hash(("Medicine", "L"))
+        assert SubjectHeading("Medicine", "L,9C") != self.HEADING
 
     def test_defaults(self):
         base = Concept("base", "L", Label("Medicine"))
@@ -120,9 +131,11 @@ class TestConceptLabelContract:
             "Concept(id='base', notation='L', label=Label(text='Medicine', language='en'),"
             " characteristic_value=None, parent=None, sought=True, residual=False, ordinal=0)"
         )
+        assert repr(self.CALL) == "CallNumber(class_part='L', book_part='SCH73')"
+        assert repr(self.HEADING) == "SubjectHeading(heading='Medicine', reference='L')"
 
     def test_slots_and_no_attribute_writes(self):
-        for value in (self.CONCEPT, self.LABEL):
+        for value in (self.CONCEPT, self.LABEL, self.CALL, self.HEADING):
             assert type(value).__slots__ == () and not hasattr(value, "__dict__")
             with pytest.raises(AttributeError):
                 value.extra = 1
@@ -130,6 +143,8 @@ class TestConceptLabelContract:
             self.CONCEPT.notation = "9D"
         with pytest.raises(AttributeError):
             self.LABEL.text = "Adult"
+        with pytest.raises(AttributeError):
+            self.CALL.book_part = "AB12"
 
     @pytest.mark.parametrize(
         "make",
@@ -145,11 +160,26 @@ class TestConceptLabelContract:
             lambda: Label._make(["", "en"]),
             lambda: TestConceptLabelContract.LABEL._replace(text="  "),
             lambda: TestConceptLabelContract.LABEL._replace(language="en_GB"),
+            lambda: CallNumber("L", "sch73"),
+            lambda: CallNumber(class_part="L", book_part="SCH7"),
+            lambda: CallNumber("L", 73),
+            lambda: CallNumber(7, "SCH73"),
+            lambda: CallNumber._make([None, "SCH73"]),
+            lambda: TestConceptLabelContract.CALL._replace(book_part=""),
+            lambda: TestConceptLabelContract.CALL._replace(class_part=b"L"),
+            lambda: SubjectHeading("", "L"),
+            lambda: SubjectHeading(heading=5, reference="L"),
+            lambda: SubjectHeading("Medicine", None),
+            lambda: SubjectHeading._make([["Medicine"], "L"]),
+            lambda: TestConceptLabelContract.HEADING._replace(heading=""),
+            lambda: TestConceptLabelContract.HEADING._replace(reference=7),
         ],
     )
     def test_every_construction_path_checks(self, make):
         with pytest.raises(
-            ValueError, match="notation is empty|label text is empty|invalid language tag"
+            ValueError,
+            match="notation is empty|label text is empty|invalid language tag|invalid book part"
+            "|class part must be a string|subject heading is empty|subject heading parts",
         ):
             make()
 
@@ -160,12 +190,21 @@ class TestConceptLabelContract:
         moved = self.CONCEPT._replace(parent=None)
         assert type(moved) is Concept and moved.parent is None
         assert type(self.LABEL._replace(language="de")) is Label
+        assert CallNumber(book_part="SCH73", class_part="L") == CallNumber._make(self.CALL)
+        assert SubjectHeading(reference="L", heading="Medicine") == self.HEADING
+        moved = self.CALL._replace(book_part="SCH7342")
+        assert type(moved) is CallNumber and moved == ("L", "SCH7342")
+        assert type(self.HEADING._replace(reference="")) is SubjectHeading
 
     def test_copies_and_pickles_check_and_give_back_equal_values(self):
         forged = [
             tuple.__new__(Concept, ("x", "", self.LABEL, None, None, True, False, 0)),
             tuple.__new__(Label, ("", "en")),
             tuple.__new__(Label, ("x", "e")),
+            tuple.__new__(CallNumber, ("L", "sch73")),
+            tuple.__new__(CallNumber, (7, "SCH73")),
+            tuple.__new__(SubjectHeading, ("", "L")),
+            tuple.__new__(SubjectHeading, ("Medicine", 5)),
         ]
         # A forged label inside a concept: every rebuild but a shallow copy,
         # which shares the label, makes the label again.
@@ -175,9 +214,11 @@ class TestConceptLabelContract:
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
         ]
         for rebuild in rebuilds:
-            for value in (self.CONCEPT, self.LABEL):
+            for value in (self.CONCEPT, self.LABEL, self.CALL, self.HEADING):
                 again = rebuild(value)
                 assert again == value and type(again) is type(value)
+            for value in (self.CONCEPT, self.LABEL):
+                again = rebuild(value)
                 assert type(again[2] if type(value) is Concept else again) is Label
             for value in forged + [nested] * (rebuild is not copy.copy):
                 with pytest.raises(ValueError):
@@ -191,12 +232,24 @@ class TestConceptLabelContract:
             copy.replace(self.CONCEPT, notation="")
         with pytest.raises(ValueError, match="label text is empty"):
             copy.replace(self.LABEL, text="")
+        assert copy.replace(self.CALL, book_part="AB12") == ("L", "AB12")
+        assert copy.replace(self.HEADING, reference="L,9C") == ("Medicine", "L,9C")
+        with pytest.raises(ValueError, match="invalid book part"):
+            copy.replace(self.CALL, book_part="ab12")
+        with pytest.raises(ValueError, match="subject heading is empty"):
+            copy.replace(self.HEADING, heading="")
 
     def test_a_label_equals_a_literal_of_the_same_pair(self):
         """Named tuples compare as tuples: a ``Label`` and a ``Literal`` of
         the same two strings are equal.  The two never meet in one
         container: labels live in schedules and ETGs, literals in graphs."""
         assert Label("Small", "string") == Literal("Small", "string")
+
+    def test_a_call_number_equals_a_heading_of_the_same_pair(self):
+        """Likewise a ``CallNumber`` and a ``SubjectHeading`` of the same two
+        strings are equal.  A record keeps them in different fields, and
+        ``build_record`` takes neither for the other."""
+        assert CallNumber("L", "AB12") == SubjectHeading("L", "AB12")
 
 
 # ---------------------------------------------------------------------------
