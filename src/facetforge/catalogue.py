@@ -93,6 +93,26 @@ class CatalogueRecord:
     call_number: CallNumber
     accession_number: int
 
+    def __post_init__(self) -> None:
+        """Refuse what :func:`load_record` could not read back, however the
+        record is made: by ``build_record``, by hand or by
+        ``dataclasses.replace``."""
+        for name in ("record_id", "resource_type"):
+            if type(value := getattr(self, name)) is not str:
+                raise ValueError(f"record {name} must be a string, got {value!r}")
+        for pair in self.fields:
+            if (
+                not isinstance(pair, tuple) or len(pair) != 2
+                or type(pair[0]) is not str or type(pair[1]) is not str
+            ):
+                raise ValueError(f"record field must be a pair of strings, got {pair!r}")
+        for heading in self.headings:
+            if not isinstance(heading, SubjectHeading):
+                raise ValueError(f"heading must be a SubjectHeading, got {heading!r}")
+        if not isinstance(self.call_number, CallNumber):
+            raise ValueError(f"call number must be a CallNumber, got {self.call_number!r}")
+        _check_accession(self.accession_number)
+
     def field_keys(self) -> set[str]:
         return {key for key, _ in self.fields}
 
@@ -216,11 +236,6 @@ def build_record(
     accession: int,
 ) -> CatalogueRecord:
     """Assemble a catalogue record with fields ordered per the code."""
-    for heading in headings:
-        if not isinstance(heading, SubjectHeading):
-            raise ValueError(f"heading must be a SubjectHeading, got {heading!r}")
-    if not isinstance(call_number, CallNumber):
-        raise ValueError(f"call number must be a CallNumber, got {call_number!r}")
     specs = code.specs(resource_type)
     spec_keys = {s.key for s in specs}
 
@@ -233,7 +248,6 @@ def build_record(
     for key, value in imprint.items():
         if type(value) is not str:
             raise ValueError(f"field {key!r}: value must be a string, got {value!r}")
-    _check_accession(accession)
 
     templates: dict[str, list[str]] = {}
     for variation in code.local_variations:

@@ -6,12 +6,14 @@ immutable, so they can be shared freely between concurrent tasks.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import is_not, itemgetter, not_
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -30,6 +32,7 @@ __all__ = [
     "TermTable",
     "check",
     "check_identifier",
+    "collector_paused",
     "finding",
     "format_timestamp",
     "has_errors",
@@ -214,7 +217,7 @@ class Label(Checked, _LabelFields):
     def _check(self) -> None:
         if not isinstance(self.text, str) or not self.text.strip():
             raise ValueError("label text is empty")
-        if not _LANGUAGE_RE.match(self.language):
+        if not isinstance(self.language, str) or not _LANGUAGE_RE.match(self.language):
             raise ValueError(f"invalid language tag: {self.language!r}")
 
 
@@ -255,6 +258,28 @@ def parse_timestamp(text: str) -> datetime:
 # Every loader parses with ``parse_json`` and checks each object it walks
 # against a ``Fields`` table, so a malformed document always ends in a
 # ``FormatError`` whose text names the document or object at fault.
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause Python's cyclic garbage collector for the ``with`` block.
+
+    For loaders that build a great many objects which form no reference
+    cycles: the collector runs a pass every few hundred new containers,
+    and now and then a full pass over the whole heap, and none of them can
+    free what such a loader makes.  The objects made in the block still
+    count towards the next pass, which runs soon after the block ends.  The
+    collector is turned back on only if it was on, so a caller's own
+    ``gc.disable()`` holds.  The pause is process-wide: other threads run
+    without cyclic collection while the block runs.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def parse_json(document: str | bytes, what: str) -> object:
@@ -374,6 +399,7 @@ _COLUMN_TESTS: dict[str, Callable[[list], bool]] = {
     if test is not None
 }
 _COLUMN_TESTS["identifier"] = lambda column: not _IDENTIFIER_MISFITS(column)
+_COLUMN_TESTS["strings"] = lambda column: {*map(type, chain.from_iterable(column))} <= {str}
 _not_none = partial(is_not, None)
 
 

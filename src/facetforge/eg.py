@@ -88,15 +88,17 @@ class Literal(Checked, _LiteralFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        if not isinstance(self.text, str):
+            raise ValueError(f"literal text must be a string, got {self.text!r}")
         if self.datatype not in LITERAL_DATATYPES:
             raise ValueError(f"literal datatype must be one of {LITERAL_DATATYPES}")
 
     @classmethod
     def many(cls, texts: Sequence[str], datatypes: Sequence[str]) -> list[Literal]:
         """``[Literal(t, d) for t, d in zip(texts, datatypes)]``, checked in
-        one pass; if any datatype is bad, each is made in turn, so the first
-        bad one raises what ``Literal`` raises for it."""
-        if all(map(LITERAL_DATATYPES.__contains__, datatypes)):
+        one pass per column; if any text or datatype is bad, each is made in
+        turn, so the first bad one raises what ``Literal`` raises for it."""
+        if {*map(type, texts)} <= {str} and all(map(LITERAL_DATATYPES.__contains__, datatypes)):
             return [*map(tuple.__new__, repeat(cls), zip(texts, datatypes))]
         return [*map(cls, texts, datatypes)]
 

@@ -8,10 +8,11 @@ set it apart from its genus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Mapping
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_not
+from typing import Iterable, Mapping, NamedTuple
 
-from .core import Fields, FormatError, parent_cycles, parse_json
+from .core import Checked, Fields, FormatError, collector_paused, parent_cycles, parse_json
 
 __all__ = [
     "CatalogueEntry",
@@ -23,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Synset:
+class _SynsetFields(NamedTuple):
     id: str
     language: str
     lemmas: tuple[str, ...]
@@ -32,7 +32,18 @@ class Synset:
     genus: str | None = None
     differentia: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class Synset(Checked, _SynsetFields):
+    """One word sense: its lemmas, and its genus and differentia.
+
+    ``load_lexsem`` checks a language's synsets in bulk, a column at a
+    time, and makes them with ``tuple.__new__``; a language with any fault
+    is read again synset by synset, so the first bad synset raises.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.lemmas:
             raise ValueError(f"synset {self.id}: lemma list is empty")
 
@@ -97,33 +108,20 @@ _SYNSET = Fields(
 _CATALOGUE = Fields(("language", "string"), ("domain", "string"), ("root", "string"))
 
 
+@collector_paused()
 def load_lexsem(document: str | bytes) -> LexicalSemanticResource:
-    """Load a lexical-semantic resource, verifying acyclicity per language."""
+    """Load a lexical-semantic resource, verifying acyclicity per language.
+
+    The parsed document and the synsets hold no reference cycles, so the
+    load runs with the cyclic garbage collector paused.
+    """
     resource_id, languages, catalogue_raw = _RESOURCE.read(
         parse_json(document, "lexsem"), "lexsem"
     )
     hierarchies: dict[str, dict[str, Synset]] = {}
     for tag, language_raw in languages.items():
-        where = f"language {tag}"
-        (synsets_raw,) = _LANGUAGE.read(language_raw, where)
-        synset_where = f"{where} synset"
-        synsets: dict[str, Synset] = {}
-        for raw in synsets_raw:
-            synset_id, lemmas, gloss, genus, differentia = _SYNSET.read(raw, synset_where)
-            if not lemmas:
-                raise FormatError(f"{where}: synset {synset_id} has no lemmas")
-            if synset_id in synsets:
-                raise FormatError(f"{where}: duplicate synset id {synset_id!r}")
-            for lemma in lemmas:
-                if lemma != lemma.lower():
-                    raise FormatError(
-                        f"{where}: lemma {lemma!r} of {synset_id} is not lowercase"
-                    )
-            synsets[synset_id] = Synset(
-                synset_id, tag, tuple(lemmas), gloss, genus, tuple(differentia)
-            )
-        _check_hierarchy(tag, synsets)
-        hierarchies[tag] = synsets
+        (synsets_raw,) = _LANGUAGE.read(language_raw, f"language {tag}")
+        hierarchies[tag] = _read_synsets(synsets_raw, tag)
 
     catalogue: list[CatalogueEntry] = []
     for raw in catalogue_raw:
@@ -137,6 +135,76 @@ def load_lexsem(document: str | bytes) -> LexicalSemanticResource:
     return LexicalSemanticResource(resource_id, hierarchies, tuple(catalogue))
 
 
+def _read_synsets(raws: list, tag: str) -> dict[str, Synset]:
+    """One language's synsets by id, checked and made a column at a time.
+
+    ``Fields.columns`` checks the keys and kinds, and one pass or two over
+    whole columns each check that every lemma list is non-empty and
+    lowercase, that the ids are unique (the synsets by id are as many as
+    the synsets), that every genus is a listed id, that every non-root has
+    differentia and that there is one root; the cycle check follows.  A
+    language with any fault is read again synset by synset, so the first
+    fault in stored order raises the loader's ``FormatError``.  The error
+    ``columns`` raises is not passed on: it may name a later synset than
+    an earlier one's repeated id.
+    """
+    try:
+        ids, lemmas, glosses, genera, differentia = _SYNSET.columns(raws, f"language {tag}")
+    except FormatError:
+        return _read_each_synset(raws, tag)
+    if not all(lemmas) or not _lowercase(chain.from_iterable(lemmas)):
+        return _read_each_synset(raws, tag)
+    synsets = dict(zip(ids, map(
+        tuple.__new__,
+        repeat(Synset),
+        zip(ids, repeat(tag), map(tuple, lemmas), glosses, genera, map(tuple, differentia)),
+    )))
+    if (
+        len(synsets) != len(ids)
+        or not all(map(synsets.__contains__, compress(genera, map(is_not, genera, repeat(None)))))
+        or not all(compress(differentia, map(is_not, genera, repeat(None))))
+        or genera.count(None) != 1
+    ):
+        return _read_each_synset(raws, tag)
+    _check_acyclic(tag, synsets)
+    return synsets
+
+
+def _lowercase(lemmas: Iterable[str]) -> bool:
+    """Whether every lemma is its own lowercase, tested on all at once.
+
+    Lowercasing maps each character to a fixed text, never an empty one,
+    and reads its context only for a capital sigma, which is never its own
+    lowercase; so the lemmas joined by line breaks are their own lowercase
+    exactly when each lemma is.
+    """
+    text = "\n".join(lemmas)
+    return text == text.lower()
+
+
+def _read_each_synset(raws: list, tag: str) -> dict[str, Synset]:
+    """``_read_synsets`` one synset at a time, raising at the first fault."""
+    where = f"language {tag}"
+    synset_where = f"{where} synset"
+    synsets: dict[str, Synset] = {}
+    for raw in raws:
+        synset_id, lemmas, gloss, genus, differentia = _SYNSET.read(raw, synset_where)
+        if not lemmas:
+            raise FormatError(f"{where}: synset {synset_id} has no lemmas")
+        if synset_id in synsets:
+            raise FormatError(f"{where}: duplicate synset id {synset_id!r}")
+        for lemma in lemmas:
+            if lemma != lemma.lower():
+                raise FormatError(
+                    f"{where}: lemma {lemma!r} of {synset_id} is not lowercase"
+                )
+        synsets[synset_id] = Synset(
+            synset_id, tag, tuple(lemmas), gloss, genus, tuple(differentia)
+        )
+    _check_hierarchy(tag, synsets)
+    return synsets
+
+
 def _check_hierarchy(tag: str, synsets: Mapping[str, Synset]) -> None:
     for synset in synsets.values():
         if synset.genus is not None and synset.genus not in synsets:
@@ -148,12 +216,16 @@ def _check_hierarchy(tag: str, synsets: Mapping[str, Synset]) -> None:
                 f"language {tag}: non-root synset {synset.id} has empty differentia"
             )
 
-    for _, members in parent_cycles(synsets, attrgetter("genus")):
-        raise FormatError(f"language {tag}: genus cycle {{{', '.join(members)}}}")
+    _check_acyclic(tag, synsets)
 
     roots = [s.id for s in synsets.values() if s.genus is None]
     if synsets and len(roots) != 1:
         raise FormatError(f"language {tag}: expected exactly one root, found {sorted(roots)}")
+
+
+def _check_acyclic(tag: str, synsets: Mapping[str, Synset]) -> None:
+    for _, members in parent_cycles(synsets, attrgetter("genus")):
+        raise FormatError(f"language {tag}: genus cycle {{{', '.join(members)}}}")
 
 
 def resolve_sense(

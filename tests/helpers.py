@@ -48,7 +48,15 @@ from facetforge.cli import _name_term, _UsageError
 from facetforge.etg import DataProperty, EntityType, EntityTypeGraph, ObjectProperty
 from facetforge.facet import ClassNumber, FacetFormula, FormulaSlot
 from facetforge.exports import XSD, render_term
-from facetforge.lexsem import LexicalSemanticResource, Synset
+from facetforge.lexsem import (
+    _CATALOGUE,
+    _LANGUAGE,
+    _RESOURCE,
+    _SYNSET,
+    CatalogueEntry,
+    LexicalSemanticResource,
+    Synset,
+)
 from facetforge.ontology import LightweightOntology, OntologyNode
 from facetforge.query import BindingTable, Pattern, Query, Term, Variable
 from facetforge.schedule import (
@@ -2071,3 +2079,173 @@ def _seed_schedule_fault(rng: random.Random, placed: list[list[dict]]) -> None:
         target["notation"] = rng.choice(siblings)["notation"][:1] + rng.choice(["", "Q"])
     else:
         concepts[concepts.index(target)] = rng.choice([[], "concept", None, 3])
+
+
+# ---------------------------------------------------------------------------
+# ``load_lexsem`` as it read each synset on its own, with one ``Fields.read``
+# and one ``Synset`` call per synset, and checked each hierarchy one synset
+# at a time; and random lexicon documents, valid or with seeded faults
+
+
+def oracle_load_lexsem(document: str | bytes) -> LexicalSemanticResource:
+    """Load a lexical-semantic resource, verifying acyclicity per language."""
+    resource_id, languages, catalogue_raw = _RESOURCE.read(
+        parse_json(document, "lexsem"), "lexsem"
+    )
+    hierarchies: dict[str, dict[str, Synset]] = {}
+    for tag, language_raw in languages.items():
+        where = f"language {tag}"
+        (synsets_raw,) = _LANGUAGE.read(language_raw, where)
+        synset_where = f"{where} synset"
+        synsets: dict[str, Synset] = {}
+        for raw in synsets_raw:
+            synset_id, lemmas, gloss, genus, differentia = _SYNSET.read(raw, synset_where)
+            if not lemmas:
+                raise FormatError(f"{where}: synset {synset_id} has no lemmas")
+            if synset_id in synsets:
+                raise FormatError(f"{where}: duplicate synset id {synset_id!r}")
+            for lemma in lemmas:
+                if lemma != lemma.lower():
+                    raise FormatError(
+                        f"{where}: lemma {lemma!r} of {synset_id} is not lowercase"
+                    )
+            synsets[synset_id] = Synset(
+                synset_id, tag, tuple(lemmas), gloss, genus, tuple(differentia)
+            )
+        _oracle_check_hierarchy(tag, synsets)
+        hierarchies[tag] = synsets
+
+    catalogue: list[CatalogueEntry] = []
+    for raw in catalogue_raw:
+        entry = CatalogueEntry(*_CATALOGUE.read(raw, "catalogue"))
+        if entry.language not in hierarchies:
+            raise FormatError(f"catalogue references unknown language {entry.language!r}")
+        if entry.root not in hierarchies[entry.language]:
+            raise FormatError(f"catalogue references unknown root {entry.root!r}")
+        catalogue.append(entry)
+
+    return LexicalSemanticResource(resource_id, hierarchies, tuple(catalogue))
+
+
+def _oracle_check_hierarchy(tag: str, synsets: dict[str, Synset]) -> None:
+    for synset in synsets.values():
+        if synset.genus is not None and synset.genus not in synsets:
+            raise FormatError(
+                f"language {tag}: synset {synset.id} has dangling genus {synset.genus!r}"
+            )
+        if synset.genus is not None and not synset.differentia:
+            raise FormatError(
+                f"language {tag}: non-root synset {synset.id} has empty differentia"
+            )
+
+    for _, members in parent_cycles(synsets, attrgetter("genus")):
+        raise FormatError(f"language {tag}: genus cycle {{{', '.join(members)}}}")
+
+    roots = [s.id for s in synsets.values() if s.genus is None]
+    if synsets and len(roots) != 1:
+        raise FormatError(f"language {tag}: expected exactly one root, found {sorted(roots)}")
+
+
+LEXSEM_FAULTS = (
+    "empty lemma list", "duplicate id", "uppercase lemma", "non-string lemma", "unknown key",
+    "dangling genus", "empty differentia", "two roots", "cycle", "bad catalogue row",
+    "null gloss", "null differentia", "not an object",
+)
+# Lowercase lemmas, some outside ASCII, and lemmas that are not: the sigma
+# lowercases by its context, the Kelvin sign and dotted capital I to other
+# characters or to more than one.
+_LOWER_LEMMAS = ["bank", "book", "straße", "σοφία", "ς", "ﬁle", "i̇", "δρόμος", "x-ray", "a b"]
+_UPPER_LEMMAS = ["Bank", "ΣΟΦΙΑ", "οδόΣ", "Σ", "\u212a", "İ", "ǅ", "BOOK"]
+
+
+def random_lexsem_document(
+    rng: random.Random, faults: int = 0, kinds: Sequence[str] = LEXSEM_FAULTS
+) -> str:
+    """A lexicon document of one to three languages, valid unless *faults*
+    faults, each of one of *kinds*, are seeded into it.
+
+    Each language is a random tree of synsets stored in random order, with
+    keys in any order.  A root's genus is absent or ``null``; ``gloss`` is
+    absent or text, and a root's ``differentia`` absent, empty or not.  A
+    language may have no synsets.
+    """
+    languages: dict[str, dict] = {}
+    for tag in rng.sample(["en", "de", "el", "it"], rng.randint(1, 3)):
+        ids = [f"{tag}-s{serial}" for serial in range(rng.randint(0, 25))]
+        synsets = []
+        for position, synset_id in enumerate(ids):
+            raw: dict = {"id": synset_id, "lemmas": rng.sample(_LOWER_LEMMAS, rng.randint(1, 3))}
+            if position:
+                raw["genus"] = rng.choice(ids[:position])
+                raw["differentia"] = rng.sample(["d1", "d2", "δ"], rng.randint(1, 2))
+            else:
+                if rng.random() < 0.5:
+                    raw["genus"] = None
+                if rng.random() < 0.5:
+                    raw["differentia"] = rng.choice([[], ["d0"]])
+            if rng.random() < 0.5:
+                raw["gloss"] = rng.choice(["", f"gloss of {synset_id}", "γλώσσα"])
+            items = list(raw.items())
+            rng.shuffle(items)
+            synsets.append(dict(items))
+        rng.shuffle(synsets)
+        languages[tag] = {"synsets": synsets} if synsets or rng.random() < 0.5 else {}
+    document = {"id": "LEX", "languages": languages, "catalogue": [
+        {"language": tag, "domain": "general", "root": f"{tag}-s0"}
+        for tag, language in languages.items()
+        if language.get("synsets") and rng.random() < 0.7
+    ]}
+    for _ in range(faults):
+        _seed_lexsem_fault(rng, document, rng.choice(kinds))
+    return json.dumps(document, ensure_ascii=rng.random() < 0.5)
+
+
+def _seed_lexsem_fault(rng: random.Random, document: dict, fault: str) -> None:
+    if fault == "bad catalogue row":
+        document["catalogue"].insert(rng.randint(0, len(document["catalogue"])), rng.choice([
+            {"language": "xx", "domain": "general", "root": "xx-s0"},
+            {"language": rng.choice([*document["languages"]]), "domain": "d", "root": "nowhere"},
+            {"language": "en", "domain": "d"},
+            {"language": "en", "domain": 5, "root": "en-s0"},
+        ]))
+        return
+    synsets = [
+        raw for language in document["languages"].values()
+        for raw in language.get("synsets", ()) if isinstance(raw, dict)
+    ]
+    if not synsets:
+        return
+    target = rng.choice(synsets)
+    other = rng.choice(synsets)
+    if fault == "empty lemma list":
+        target["lemmas"] = []
+    elif fault == "duplicate id":
+        target["id"] = other["id"]
+    elif fault == "uppercase lemma":
+        target["lemmas"] = [*target["lemmas"], rng.choice(_UPPER_LEMMAS)]
+    elif fault == "non-string lemma":
+        target["lemmas"] = [*target["lemmas"], rng.choice([5, None, ["x"], True])]
+    elif fault == "unknown key":
+        target[rng.choice(["note", "genera"])] = "x"
+        if rng.random() < 0.5:  # as many keys as before
+            target.pop(rng.choice(["gloss", "genus", "differentia"]), None)
+    elif fault == "dangling genus":
+        target["genus"] = "nowhere"
+        target["differentia"] = ["d"]
+    elif fault == "empty differentia":
+        target["differentia"] = []
+    elif fault == "two roots":
+        target.pop("genus", None) if rng.random() < 0.5 else target.update(genus=None)
+    elif fault == "cycle":
+        target["genus"] = rng.choice([other["id"], target["id"]])
+        target["differentia"] = ["d"]
+    elif fault == "null gloss":
+        target["gloss"] = None
+    elif fault == "null differentia":
+        target["differentia"] = None
+    else:
+        for language in document["languages"].values():
+            held = language.get("synsets", [])
+            if target in held:
+                held[held.index(target)] = rng.choice(["synset", None, 3, []])
+

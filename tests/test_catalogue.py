@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from facetforge.catalogue import (
     CallNumber,
+    CatalogueRecord,
     build_record,
     lint_records,
     load_catalogue_code,
@@ -243,6 +245,88 @@ class TestBuildRecord:
                 continue
             assert load_record(record_to_json(record)) == record
             assert load_record(record_to_json(record).encode()) == record
+            outcomes.append("kept")
+        assert min(outcomes.count("refused"), outcomes.count("kept")) >= 50, outcomes
+
+    @pytest.mark.parametrize(
+        ("changes", "message"),
+        [
+            ({"record_id": 5}, "record record_id must be a string, got 5"),
+            ({"resource_type": None}, "record resource_type must be a string, got None"),
+            ({"fields": (("title", "T"), ("pages", 290))},
+             "record field must be a pair of strings, got ('pages', 290)"),
+            ({"fields": ((b"title", "T"),)},
+             "record field must be a pair of strings, got (b'title', 'T')"),
+            ({"fields": (("title", "T", "x"),)},
+             "record field must be a pair of strings, got ('title', 'T', 'x')"),
+            ({"fields": (5,)}, "record field must be a pair of strings, got 5"),
+            ({"fields": (["title", "T"],)},
+             "record field must be a pair of strings, got ['title', 'T']"),
+            ({"headings": (("Medicine", "L"),)},
+             "heading must be a SubjectHeading, got ('Medicine', 'L')"),
+            ({"call_number": ("L", "X")}, "call number must be a CallNumber, got ('L', 'X')"),
+            ({"accession_number": True}, "accession number must be an integer, got True"),
+            ({"accession_number": 3.0}, "accession number must be an integer, got 3.0"),
+            ({"accession_number": "3"}, "accession number must be an integer, got '3'"),
+            ({"accession_number": 0}, "accession number must be positive, got 0"),
+        ],
+    )
+    def test_a_record_load_record_would_refuse_is_not_made(
+        self, ccc, med_headings, changes, message
+    ):
+        """A record made by hand or by ``dataclasses.replace``, not by
+        ``build_record``, is checked when it is made: before, it was made and
+        written, and ``load_record`` refused what ``record_to_json`` wrote."""
+        call = CallNumber("L,9C:4.44", "SCH73")
+        record = build_record(ccc, "Book", FULL_IMPRINT, med_headings, call, 3)
+        by_hand = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+        for make in (
+            lambda: dataclasses.replace(record, **changes),
+            lambda: CatalogueRecord(**{**by_hand, **changes}),
+        ):
+            with pytest.raises(ValueError) as caught:
+                make()
+            assert str(caught.value) == message
+
+    def test_every_hand_built_record_written_reads_back(self, ccc, med_headings):
+        """Whatever record can be made, ``load_record`` gives it back equal
+        from what ``record_to_json`` writes."""
+        record = build_record(ccc, "Book", FULL_IMPRINT, med_headings, make_call_number(
+            "L,9C:4.44", "Schumacher", 1973, 3
+        ), 3)
+        rng = random.Random(11)
+        texts = ["", "rec-1", "Brontë", "line\nbreak \u2028", "\ud800"]
+        others = [5, None, True, 2.5, b"x", ("x",)]
+        outcomes = []
+        for _ in range(400):
+            def pick(good=texts):
+                return rng.choice(others) if rng.random() < 0.1 else rng.choice(good)
+
+            def pair():
+                if rng.random() < 0.9:
+                    return (pick(), pick())
+                return rng.choice([(pick(),), (pick(),) * 3, 5, [pick(), pick()]])
+
+            headings = tuple(
+                SubjectHeading(rng.choice(["Medicine", "Brontë"]), rng.choice(["L", ""]))
+                if rng.random() < 0.9 else (pick(), pick())
+                for _ in range(rng.randint(0, 2))
+            )
+            try:
+                doctored = dataclasses.replace(
+                    record,
+                    record_id=pick(),
+                    resource_type=pick(),
+                    fields=tuple(pair() for _ in range(rng.randint(0, 3))),
+                    headings=headings,
+                    call_number=pick([record.call_number, CallNumber("Brontë", "AB12")])
+                    if rng.random() < 0.9 else tuple(record.call_number),
+                    accession_number=pick([1, 7, 10**20, 0, -2]),
+                )
+            except ValueError:
+                outcomes.append("refused")
+                continue
+            assert load_record(record_to_json(doctored)) == doctored
             outcomes.append("kept")
         assert min(outcomes.count("refused"), outcomes.count("kept")) >= 50, outcomes
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import re
 from datetime import datetime, timezone
 
@@ -16,6 +17,7 @@ from facetforge.core import (
     Label,
     RULES,
     check_identifier,
+    collector_paused,
     finding,
     format_timestamp,
     mint_iri,
@@ -83,12 +85,26 @@ def test_every_validated_tuple_has_one_construction_path():
     ``_make`` and ``__reduce__``, so none can be made around its check."""
     types = {
         facetforge.Iri, facetforge.Label, facetforge.Literal, facetforge.Concept,
-        facetforge.CallNumber, facetforge.SubjectHeading,
+        facetforge.CallNumber, facetforge.SubjectHeading, facetforge.Synset,
     }
     assert set(Checked.__subclasses__()) == types
     for value_type in types:
         assert value_type.__mro__[1] is Checked and "_check" in vars(value_type)
         assert not {"__new__", "_make", "__reduce__"} & vars(value_type).keys(), value_type
+
+
+@pytest.mark.parametrize("was_on", [True, False])
+def test_the_collector_is_paused_in_the_block_and_given_back_as_found(was_on):
+    (gc.enable if was_on else gc.disable)()
+    try:
+        with collector_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() is was_on
+        with pytest.raises(KeyError), collector_paused():
+            raise KeyError("x")
+        assert gc.isenabled() is was_on
+    finally:
+        gc.enable()
 
 
 class TestMintIri:

@@ -234,11 +234,26 @@ class TestTermContract:
             lambda: Iri.many(["https://ex.org/du/a\nhttps://ex.org/du/b"]),
             lambda: Iri.many(["https://ex.org/du/a", 42]),
             lambda: Literal.many(["x", "y"], ["string", "iri"]),
+            lambda: Literal(5, "string"),
+            lambda: Literal(text=None, datatype="string"),
+            lambda: TestTermContract.LITERAL._replace(text=b"Small"),
+            lambda: Literal.many(["x", 5], ["string", "string"]),
         ],
     )
     def test_every_construction_path_checks(self, make):
-        with pytest.raises(ValueError, match="invalid IRI|literal datatype must be one of"):
+        with pytest.raises(
+            ValueError, match="invalid IRI|literal datatype must be one of|literal text must be"
+        ):
             make()
+
+    def test_a_literal_of_text_that_is_not_a_string_is_refused(self):
+        """No graph export could render it: ``render_term`` needs text."""
+        with pytest.raises(ValueError) as caught:
+            Literal(5, "string")
+        assert str(caught.value) == "literal text must be a string, got 5"
+        with pytest.raises(ValueError) as caught:
+            Literal.many(["1", 2, "x"], ["integer", "integer", "iri"])
+        assert str(caught.value) == "literal text must be a string, got 2"
 
     def test_many_makes_what_one_at_a_time_makes(self):
         values = ["https://ex.org/du/a", "http://x.y/é", "urn+x://h/p?q#f"]
@@ -255,7 +270,10 @@ class TestTermContract:
         assert "'bad one'" in str(caught.value)
 
     def test_copies_and_pickles_check_and_give_back_equal_terms(self):
-        forged = [tuple.__new__(Iri, ("not an IRI",)), tuple.__new__(Literal, ("x", "iri"))]
+        forged = [
+            tuple.__new__(Iri, ("not an IRI",)), tuple.__new__(Literal, ("x", "iri")),
+            tuple.__new__(Literal, (5, "integer")),
+        ]
         rebuilds = [copy.copy, copy.deepcopy] + [
             lambda term, protocol=protocol: pickle.loads(pickle.dumps(term, protocol))
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)

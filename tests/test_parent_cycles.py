@@ -3,7 +3,6 @@ chain table, against the per-member walks and scans they replaced."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 
@@ -164,7 +163,7 @@ class TestGenusChain:
 
         synsets[1]["genus"] = ids[-1]  # s1 to s19999 now form a loop
         looped = dict(resource.hierarchies["en"])
-        looped[ids[1]] = dataclasses.replace(looped[ids[1]], genus=ids[-1])
+        looped[ids[1]] = looped[ids[1]]._replace(genus=ids[-1])
         expected = f"language en: genus cycle {{{', '.join(sorted(ids[1:]))}}}"
         assert scan_genus_cycle("en", looped) == expected
         assert load_error(load_lexsem, json.dumps(document)) == expected

@@ -173,6 +173,8 @@ class TestConceptLabelContract:
             lambda: SubjectHeading._make([["Medicine"], "L"]),
             lambda: TestConceptLabelContract.HEADING._replace(heading=""),
             lambda: TestConceptLabelContract.HEADING._replace(reference=7),
+            lambda: Label("x", 5),
+            lambda: TestConceptLabelContract.LABEL._replace(language=None),
         ],
     )
     def test_every_construction_path_checks(self, make):
@@ -182,6 +184,12 @@ class TestConceptLabelContract:
             "|class part must be a string|subject heading is empty|subject heading parts",
         ):
             make()
+
+    @pytest.mark.parametrize("language", [5, None, b"en", ("en",)])
+    def test_a_language_that_is_not_text_is_an_invalid_tag(self, language):
+        with pytest.raises(ValueError) as caught:
+            Label("x", language)
+        assert str(caught.value) == f"invalid language tag: {language!r}"
 
     def test_keyword_make_and_replace_build_the_same_values(self):
         fields = dict(zip(Concept._fields, self.CONCEPT))
